@@ -10,7 +10,7 @@ use ooc_core::compose::{TwoAcVac, VacAsAc};
 use ooc_core::confidence::Confidence;
 use ooc_core::template::{RoundRecord, Template, TemplateConfig};
 use ooc_simnet::{
-    Adversary, ClockModel, Decision, FanoutKind, FaultPlan, FnAdversary, NetworkConfig, ProcessId,
+    Adversary, ClockModel, Decision, FaultPlan, FnAdversary, NetworkConfig, ProcessId,
     ReliabilityPolicy, RunLimit, RunOutcome, Sim, SimDuration, StateAdversary, StorageFaultPlan,
 };
 
@@ -39,11 +39,6 @@ pub struct BenOrConfig {
     /// read happy-path traces set a small capacity; a failure is then
     /// replayed from its seed artifact with the default unbounded capture.
     pub trace_capacity: Option<usize>,
-    /// Broadcast fan-out strategy of the engine. [`FanoutKind::Batched`]
-    /// (the default) plans whole broadcasts in one pass; the
-    /// per-recipient kind is kept as the A/B oracle. Byte-identical
-    /// outcomes either way.
-    pub fanout: FanoutKind,
     /// Reliable-delivery policy of the engine. `Off` (the default)
     /// reproduces the historical fire-and-forget network byte-for-byte;
     /// [`ReliabilityPolicy::Retransmit`] arms ack/dedup with seeded
@@ -64,7 +59,6 @@ impl BenOrConfig {
             run_limit: RunLimit::default(),
             commit_threshold: None,
             trace_capacity: None,
-            fanout: FanoutKind::default(),
             reliability: ReliabilityPolicy::default(),
         }
     }
@@ -110,20 +104,11 @@ impl BenOrConfig {
         self
     }
 
-    /// Selects the engine's broadcast fan-out strategy. Observability of
-    /// the knob is nil by contract: batched and per-recipient runs are
-    /// byte-identical, only wall time differs.
-    pub fn with_fanout(mut self, fanout: FanoutKind) -> Self {
-        self.fanout = fanout;
-        self
-    }
-
     /// Arms (or disarms) the engine's reliable-delivery layer. With
     /// [`ReliabilityPolicy::Retransmit`] every unicast is buffered,
     /// acked, deduplicated, and retransmitted on a seeded
     /// exponential-backoff schedule until acknowledged or retired.
-    /// `Off` is the A/B oracle: byte-identical to the historical
-    /// fire-and-forget engine.
+    /// `Off` is fire-and-forget delivery.
     pub fn with_reliability(mut self, reliability: ReliabilityPolicy) -> Self {
         self.reliability = reliability;
         self
@@ -300,7 +285,6 @@ pub fn run_decomposed_gray(
     let threshold = cfg.commit_threshold.unwrap_or(t + 1);
     let mut builder = Sim::builder(cfg.network.clone())
         .seed(seed)
-        .fanout(cfg.fanout)
         .reliability(cfg.reliability)
         .faults(cfg.faults.clone())
         .clocks(opts.clocks)
@@ -347,7 +331,6 @@ pub fn run_composed(cfg: &BenOrConfig, inputs: &[bool], seed: u64) -> BenOrRun {
     type ComposedVac = TwoAcVac<VacAsAc<BenOrVac>>;
     let mut sim = Sim::builder(cfg.network.clone())
         .seed(seed)
-        .fanout(cfg.fanout)
         .reliability(cfg.reliability)
         .faults(cfg.faults.clone())
         .processes(inputs.iter().map(|&v| -> Template<ComposedVac, CoinFlip> {
@@ -384,7 +367,6 @@ pub fn run_monolithic(cfg: &BenOrConfig, inputs: &[bool], seed: u64) -> (RunOutc
     cfg.faults.assert_crash_stop("Ben-Or");
     let mut sim = Sim::builder(cfg.network.clone())
         .seed(seed)
-        .fanout(cfg.fanout)
         .reliability(cfg.reliability)
         .faults(cfg.faults.clone())
         .processes(

@@ -8,7 +8,7 @@
 //!
 //! `--bench-json PATH` writes the T11 observability metrics, the T12
 //! campaign-throughput totals, the T14 gray-failure degradation totals,
-//! the T15 raw-engine throughput totals, the T16 batched fan-out totals
+//! the T15 raw-engine throughput totals, the T16 per-regime flood totals
 //! and the T17 reliable-delivery totals as one deterministic JSON
 //! document (running the tables first if they were not requested).
 //!

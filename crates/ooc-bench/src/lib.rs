@@ -8,7 +8,8 @@
 //! cargo run -p ooc-bench --bin tables --release -- all   # or t1..t8
 //! ```
 //!
-//! Criterion benchmarks for the same experiments live in `benches/`.
+//! Wall-clock timings of the engine and the campaign runtime live in the
+//! standalone `perfbench/` package at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -826,20 +826,12 @@ struct FloodTotals {
 /// simulated totals into `t` only when `accumulate` is set (the first
 /// pass — every pass is byte-identical by determinism) and always folds
 /// the pass's wall time into `t.secs` via min.
-fn flood_pass(
-    config: &NetworkConfig,
-    scheduler: ooc_simnet::SchedulerKind,
-    fanout: ooc_simnet::FanoutKind,
-    t: &mut FloodTotals,
-    accumulate: bool,
-) {
+fn flood_pass(config: &NetworkConfig, t: &mut FloodTotals, accumulate: bool) {
     // ooc-lint::allow(determinism/wall-clock, "throughput measurement of the engine hot path")
     let start = Instant::now();
     for seed in 0..FLOOD_SEEDS {
         let mut sim = Sim::builder(config.clone())
             .seed(seed)
-            .scheduler(scheduler)
-            .fanout(fanout)
             // Raw-speed configuration: the trace ring records nothing,
             // the way a campaign happy path would run.
             .trace_capacity(0)
@@ -859,8 +851,9 @@ fn flood_pass(
     t.secs = t.secs.min(start.elapsed().as_secs_f64().max(1e-9));
 }
 
-fn flood_totals() -> FloodTotals {
-    FloodTotals {
+/// Times the flood on `config`: best of [`FLOOD_REPS`] passes.
+fn run_flood(config: &NetworkConfig) -> FloodTotals {
+    let mut t = FloodTotals {
         events: 0,
         messages: 0,
         dropped: 0,
@@ -868,24 +861,11 @@ fn flood_totals() -> FloodTotals {
         timers: 0,
         sim_ticks: 0,
         secs: f64::INFINITY,
-    }
-}
-
-/// Times two engine variants on the same flood workload with their
-/// passes interleaved (A, B, A, B, …), so slow drift in host load or
-/// CPU frequency hits both variants alike and cancels out of the
-/// reported ratio — best-of-[`FLOOD_REPS`] per variant.
-fn run_flood_ab(
-    config: &NetworkConfig,
-    a: (ooc_simnet::SchedulerKind, ooc_simnet::FanoutKind),
-    b: (ooc_simnet::SchedulerKind, ooc_simnet::FanoutKind),
-) -> (FloodTotals, FloodTotals) {
-    let (mut ta, mut tb) = (flood_totals(), flood_totals());
+    };
     for rep in 0..FLOOD_REPS {
-        flood_pass(config, a.0, a.1, &mut ta, rep == 0);
-        flood_pass(config, b.0, b.1, &mut tb, rep == 0);
+        flood_pass(config, &mut t, rep == 0);
     }
-    (ta, tb)
+    t
 }
 
 /// Deterministic modelled work-tick breakdown of the delivery path,
@@ -912,17 +892,13 @@ fn print_work_ticks(label: &str, t: &FloodTotals) {
     );
 }
 
-/// T15 — raw simnet throughput: events/sec of the timing-wheel engine on
-/// a message-flood workload (against the reference `BinaryHeap` scheduler
-/// run on the identical schedule), plus sweeps/sec over the T12 smoke
-/// grid.
+/// T15 — raw simnet throughput: events/sec of the engine on a
+/// message-flood workload, plus sweeps/sec over the T12 smoke grid.
 ///
 /// Wall-clock events/sec and sweeps/sec are printed for the operator and
 /// deliberately kept **out** of the returned rows: only simulated,
 /// machine-independent totals feed `BENCH_ooc.json`, so the committed
-/// rows are byte-stable across hosts and runs. Both schedulers must
-/// produce identical totals — asserted in passing, the bench-level face
-/// of the engine's A/B equivalence contract.
+/// rows are byte-stable across hosts and runs.
 pub fn t15() -> Vec<(String, u64)> {
     t15_with(false)
 }
@@ -931,39 +907,19 @@ pub fn t15() -> Vec<(String, u64)> {
 /// [`print_work_ticks`]).
 pub fn t15_with(profile: bool) -> Vec<(String, u64)> {
     use ooc_campaign::{grid, run_all, Algorithm};
-    use ooc_simnet::{FanoutKind, SchedulerKind};
 
     hr("T15  raw simnet throughput (events/sec + sweeps/sec)");
 
-    let clean = NetworkConfig::default();
-    let (wheel, heap) = run_flood_ab(
-        &clean,
-        (SchedulerKind::TimingWheel, FanoutKind::default()),
-        (SchedulerKind::BinaryHeap, FanoutKind::default()),
-    );
-    // The A/B contract, asserted on real totals: the scheduler knob must
-    // be invisible in everything but wall time.
-    assert_eq!(
-        (wheel.events, wheel.messages, wheel.sim_ticks),
-        (heap.events, heap.messages, heap.sim_ticks),
-        "wheel and heap schedulers diverged on the flood workload"
-    );
-    let (events, msgs, ticks) = (wheel.events, wheel.messages, wheel.sim_ticks);
-
+    let flood = run_flood(&NetworkConfig::default());
+    println!("{:<14} {:>10} {:>14}", "workload", "secs", "events/sec");
     println!(
-        "{:<14} {:>10} {:>14}",
-        "scheduler", "secs", "events/sec"
+        "{:<14} {:>10.3} {:>14.0}",
+        "flood",
+        flood.secs,
+        flood.events as f64 / flood.secs
     );
-    for (name, secs) in [("timing-wheel", wheel.secs), ("binary-heap", heap.secs)] {
-        println!(
-            "{:<14} {:>10.3} {:>14.0}",
-            name,
-            secs,
-            events as f64 / secs
-        );
-    }
     if profile {
-        print_work_ticks("t15/flood", &wheel);
+        print_work_ticks("t15/flood", &flood);
     }
 
     // Sweeps/sec over the T12 smoke grid: the full campaign pipeline
@@ -987,27 +943,22 @@ pub fn t15_with(profile: bool) -> Vec<(String, u64)> {
 
     vec![
         ("t15/engine_seeds".into(), FLOOD_SEEDS),
-        ("t15/engine_events".into(), events),
-        ("t15/engine_messages".into(), msgs),
-        ("t15/engine_sim_ticks".into(), ticks),
+        ("t15/engine_events".into(), flood.events),
+        ("t15/engine_messages".into(), flood.messages),
+        ("t15/engine_sim_ticks".into(), flood.sim_ticks),
         ("t15/sweep_combos".into(), COMBOS as u64),
         ("t15/sweep_events".into(), sweep_events),
     ]
 }
 
-/// T16 — batched fan-out throughput: the batched delivery planner
-/// against the per-recipient oracle on the T15 flood workload, over
-/// three regimes: a clean network (default uniform delay), a
-/// fixed-delay network (statically uniform routing, so the zero-draw
-/// broadcast hot path streams whole outboxes into one wheel bucket),
-/// and a lossy/duplicating/delaying one (so the planner's RNG hot path
-/// is exercised rather than bypassed).
+/// T16 — flood throughput by network regime: the T15 flood workload on a
+/// clean network (default uniform delay), a fixed-delay network
+/// (statically uniform routing: no loss, duplication or delay draws) and
+/// a lossy/duplicating/delaying one (a loss draw, a delay draw and a
+/// duplication draw per message).
 ///
-/// Wall-clock events/sec and the batched-over-per-recipient speedup are
-/// printed for the operator; only simulated, machine-independent totals
-/// feed the returned rows — and those totals are asserted identical
-/// across the two fan-out kinds, the bench-level face of the engine's
-/// A/B byte-identity contract.
+/// Wall-clock events/sec is printed for the operator; only simulated,
+/// machine-independent totals feed the returned rows.
 pub fn t16() -> Vec<(String, u64)> {
     t16_with(false)
 }
@@ -1015,9 +966,9 @@ pub fn t16() -> Vec<(String, u64)> {
 /// [`t16`] with an optional deterministic work-tick profile (see
 /// [`print_work_ticks`]).
 pub fn t16_with(profile: bool) -> Vec<(String, u64)> {
-    use ooc_simnet::{DelayModel, FanoutKind, SchedulerKind};
+    use ooc_simnet::DelayModel;
 
-    hr("T16  batched fan-out throughput (batched vs per-recipient)");
+    hr("T16  flood throughput by network regime");
 
     let lossy = NetworkConfig {
         drop_probability: 0.05,
@@ -1026,46 +977,25 @@ pub fn t16_with(profile: bool) -> Vec<(String, u64)> {
         ..NetworkConfig::default()
     };
     let mut rows = vec![("t16/engine_seeds".to_string(), FLOOD_SEEDS)];
-    println!(
-        "{:<8} {:<14} {:>10} {:>14} {:>9}",
-        "network", "fanout", "secs", "events/sec", "speedup"
-    );
+    println!("{:<8} {:>10} {:>14}", "network", "secs", "events/sec");
     for (label, config) in [
         ("clean", NetworkConfig::default()),
         ("fixed", NetworkConfig::reliable(3)),
         ("lossy", lossy),
     ] {
-        let (batched, per) = run_flood_ab(
-            &config,
-            (SchedulerKind::TimingWheel, FanoutKind::Batched),
-            (SchedulerKind::TimingWheel, FanoutKind::PerRecipient),
+        let flood = run_flood(&config);
+        println!(
+            "{:<8} {:>10.3} {:>14.0}",
+            label,
+            flood.secs,
+            flood.events as f64 / flood.secs
         );
-        // The tentpole contract at bench level: the fan-out knob must be
-        // invisible in everything but wall time.
-        assert_eq!(
-            (batched.events, batched.messages, batched.sim_ticks),
-            (per.events, per.messages, per.sim_ticks),
-            "{label}: fan-out kinds diverged on the flood workload"
-        );
-        for (name, t, speedup) in [
-            ("batched", &batched, Some(per.secs / batched.secs)),
-            ("per-recipient", &per, None),
-        ] {
-            println!(
-                "{:<8} {:<14} {:>10.3} {:>14.0} {:>9}",
-                label,
-                name,
-                t.secs,
-                t.events as f64 / t.secs,
-                speedup.map_or(String::new(), |s| format!("{s:.2}x")),
-            );
-        }
         if profile {
-            print_work_ticks(&format!("t16/{label}"), &batched);
+            print_work_ticks(&format!("t16/{label}"), &flood);
         }
-        rows.push((format!("t16/{label}_events"), batched.events));
-        rows.push((format!("t16/{label}_messages"), batched.messages));
-        rows.push((format!("t16/{label}_sim_ticks"), batched.sim_ticks));
+        rows.push((format!("t16/{label}_events"), flood.events));
+        rows.push((format!("t16/{label}_messages"), flood.messages));
+        rows.push((format!("t16/{label}_sim_ticks"), flood.sim_ticks));
     }
     rows
 }
@@ -1243,10 +1173,8 @@ mod tests {
 
     #[test]
     fn t15_rows_are_deterministic_and_machine_independent() {
-        // t15 internally asserts the wheel and heap schedulers agree on
-        // every simulated total; here we pin that the rows themselves are
-        // reproducible (so BENCH_ooc.json stays byte-stable) and carry no
-        // wall-clock values.
+        // The rows must be reproducible (so BENCH_ooc.json stays
+        // byte-stable) and carry no wall-clock values.
         let a = t15();
         let b = t15();
         assert_eq!(a, b, "t15 must be bit-for-bit reproducible");
@@ -1262,11 +1190,9 @@ mod tests {
 
     #[test]
     fn t16_rows_are_deterministic_and_machine_independent() {
-        // t16 internally asserts the batched and per-recipient fan-out
-        // paths agree on every simulated total; here we pin that the
-        // rows are reproducible (with and without the printed profile,
-        // which must never leak into them) and carry no wall-clock
-        // values.
+        // The rows must be reproducible (with and without the printed
+        // profile, which must never leak into them) and carry no
+        // wall-clock values.
         let a = t16();
         let b = t16_with(true);
         assert_eq!(a, b, "t16 must be bit-for-bit reproducible");
@@ -1281,7 +1207,8 @@ mod tests {
             assert!(get(&format!("t16/{regime}_sim_ticks")) > 0);
         }
         // The lossy regime must actually lose traffic relative to what it
-        // sends — otherwise the planner's RNG hot path went unexercised.
+        // sends — otherwise its loss and duplication draws went
+        // unexercised.
         assert!(get("t16/lossy_events") != get("t16/clean_events"));
     }
 

@@ -14,7 +14,7 @@ use ooc_core::{BudgetSpent, RunBudget};
 use ooc_phase_king::{run_phase_king_with_crashes, PhaseKingConfig};
 use ooc_raft::{run_raft_with, RaftClusterConfig, RaftMsg};
 use ooc_simnet::{
-    Adversary, FanoutKind, NetworkConfig, QuorumStarveAdversary, RunLimit, SimTime,
+    Adversary, NetworkConfig, QuorumStarveAdversary, RunLimit, SimTime,
     StateAdversary, StorageFaultPlan, VoteSplitStateAdversary,
 };
 // ooc-lint::allow(determinism/wall-clock, "measures host-side campaign wall time, not simulated time")
@@ -116,10 +116,6 @@ fn run_ben_or(artifact: &FailureArtifact) -> CampaignOutcome {
         // outcome numbers below are unaffected — the ring is
         // observability-only.
         .with_trace_capacity(CAMPAIGN_TRACE_CAPACITY)
-        // Campaigns run the batched fan-out hot path, pinned explicitly
-        // so the sweep's engine configuration is visible here rather
-        // than inherited. Byte-identical to per-recipient by contract.
-        .with_fanout(FanoutKind::Batched)
         .with_reliability(artifact.reliability);
     if let Some(th) = artifact.sabotage_commit_threshold {
         cfg = cfg.with_sabotaged_commit_threshold(th);
@@ -262,10 +258,8 @@ fn run_raft_artifact(artifact: &FailureArtifact) -> CampaignOutcome {
     }
     .with_network(network_of(artifact))
     .with_faults(faults_to_plan(&artifact.faults))
-    // Same ring-capture rationale (and batched fan-out pin) as the
-    // Ben-Or path above.
-    .with_trace_capacity(CAMPAIGN_TRACE_CAPACITY)
-    .with_fanout(FanoutKind::Batched);
+    // Same ring-capture rationale as the Ben-Or path above.
+    .with_trace_capacity(CAMPAIGN_TRACE_CAPACITY);
     if let Some(policy) = artifact.storage_policy {
         cfg = cfg.with_storage(StorageFaultPlan::uniform(policy));
     }

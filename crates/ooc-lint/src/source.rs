@@ -30,13 +30,13 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// by the determinism contract. The parallel campaign executor promises
 /// byte-identical output for every `--jobs` value, which makes it
 /// deterministic code living in a measurement crate. The stable-storage
-/// model, the timing-wheel scheduler, the network fan-out planner and
-/// the reliable-delivery layer are listed explicitly too: all four are
+/// model, the timing-wheel scheduler, the network model and the
+/// reliable-delivery layer are listed explicitly too: all four are
 /// already covered via [`DETERMINISTIC_CRATES`] (`ooc-simnet`), but
 /// pinning the paths keeps crash-recovery semantics, the engine's
-/// `(at, seq)` pop order, the planner's RNG draw-order contract and the
-/// retransmission backoff/jitter derivation chain in scope even if the
-/// crate list changes.
+/// `(at, seq)` pop order, the routing RNG's per-message draw order and
+/// the retransmission backoff/jitter derivation chain in scope even if
+/// the crate list changes.
 pub const DETERMINISTIC_MODULES: &[&str] = &[
     "crates/ooc-campaign/src/degradation.rs",
     "crates/ooc-campaign/src/parallel.rs",

@@ -9,7 +9,7 @@ use crate::types::{LogIndex, Term};
 use crate::vac_view;
 use ooc_core::checker::{check_consensus, Violation, ViolationKind};
 use ooc_simnet::{
-    Adversary, FanoutKind, FaultPlan, NetworkConfig, ProcessId, RunLimit, RunOutcome, Sim,
+    Adversary, FaultPlan, NetworkConfig, ProcessId, RunLimit, RunOutcome, Sim,
     SimTime, StorageFaultPlan,
 };
 use std::collections::BTreeMap;
@@ -33,11 +33,6 @@ pub struct RaftClusterConfig {
     /// (`None` = unbounded). Campaign sweeps set a small capacity since
     /// they never read happy-path traces; failures replay unbounded.
     pub trace_capacity: Option<usize>,
-    /// Broadcast fan-out strategy of the engine. [`FanoutKind::Batched`]
-    /// (the default) plans whole broadcasts in one pass; the
-    /// per-recipient kind is kept as the A/B oracle. Byte-identical
-    /// outcomes either way.
-    pub fanout: FanoutKind,
 }
 
 impl RaftClusterConfig {
@@ -51,7 +46,6 @@ impl RaftClusterConfig {
             storage: StorageFaultPlan::default(),
             max_time: SimTime::from_ticks(1_000_000),
             trace_capacity: None,
-            fanout: FanoutKind::default(),
         }
     }
 
@@ -84,14 +78,6 @@ impl RaftClusterConfig {
     /// decisions are byte-identical to an unbounded run.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Selects the engine's broadcast fan-out strategy. Observability of
-    /// the knob is nil by contract: batched and per-recipient runs are
-    /// byte-identical, only wall time differs.
-    pub fn with_fanout(mut self, fanout: FanoutKind) -> Self {
-        self.fanout = fanout;
         self
     }
 }
@@ -149,7 +135,6 @@ pub fn run_raft_with(
     assert_eq!(inputs.len(), cfg.n, "one input per node");
     let mut builder = Sim::builder(cfg.network.clone())
         .seed(seed)
-        .fanout(cfg.fanout)
         .faults(cfg.faults.clone())
         .storage(cfg.storage.clone())
         .processes(inputs.iter().map(|&v| RaftNode::new(v, cfg.raft)));

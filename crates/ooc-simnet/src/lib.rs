@@ -78,10 +78,7 @@ pub use network::{DelayModel, FlappingPartition, LinkOverride, NetworkConfig, Pa
 pub use process::{Context, Process, ProtocolObservation};
 pub use reliable::{ReliabilityPolicy, RetransmitConfig};
 pub use rng::SplitMix64;
-pub use sim::{
-    FanoutKind, RunLimit, RunOutcome, SchedulerKind, Sim, SimBuilder, StopReason,
-    QUEUE_DEPTH_SAMPLE_DEFAULT,
-};
+pub use sim::{RunLimit, RunOutcome, Sim, SimBuilder, StopReason, QUEUE_DEPTH_SAMPLE_DEFAULT};
 pub use state_adversary::{
     QuorumStarveAdversary, StateAdversary, StateView, VoteSplitStateAdversary,
 };

@@ -88,24 +88,6 @@ impl TickHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` observations of the same value in one update.
-    ///
-    /// Histogram state (buckets, count, sum, min, max) is a function of
-    /// the observation *multiset*, so this is exactly equivalent to `n`
-    /// [`record`](Self::record) calls — the batched fan-out path uses it
-    /// to flush a uniform batch without per-message bookkeeping.
-    #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_index(value)] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -256,15 +238,6 @@ impl MetricsRegistry {
         self.histograms[id.0].record(value);
     }
 
-    /// Records `n` observations of the same value behind a pre-resolved
-    /// handle; exactly equivalent to `n` calls of
-    /// [`observe_by_id`](Self::observe_by_id) (see
-    /// [`TickHistogram::record_n`]).
-    #[inline]
-    pub fn observe_n_by_id(&mut self, id: HistogramId, value: u64, n: u64) {
-        self.histograms[id.0].record_n(value, n);
-    }
-
     /// Adds `delta` to the named counter (creating it at zero).
     ///
     /// Convenience path: interns on every call. Hot loops should hold a
@@ -372,52 +345,6 @@ mod tests {
         m.incr("x", 2);
         m.incr("x", 3);
         assert_eq!(m.counter("x"), 5);
-    }
-
-    #[test]
-    fn record_n_is_equivalent_to_n_records() {
-        // The batched fan-out path leans on this: histogram state is a
-        // function of the observation multiset, so one record_n flush
-        // must equal n sequential records — including the saturating
-        // sum, where `saturating_add(value.saturating_mul(n))` and n
-        // saturating adds both pin to u64::MAX once either overflows.
-        for (value, n) in [
-            (0u64, 1u64),
-            (0, 7),
-            (1, 3),
-            (17, 40),
-            (u64::MAX, 2),
-            (u64::MAX / 2 + 1, 3),
-            (1 << 63, 5),
-        ] {
-            let mut bulk = TickHistogram::new();
-            bulk.record(3); // non-trivial starting state
-            bulk.record_n(value, n);
-            let mut reference = TickHistogram::new();
-            reference.record(3);
-            for _ in 0..n {
-                reference.record(value);
-            }
-            assert_eq!(bulk, reference, "value={value} n={n}");
-        }
-        // n == 0 is a no-op: no bucket, count, or min/max movement.
-        let mut h = TickHistogram::new();
-        h.record_n(42, 0);
-        assert_eq!(h, TickHistogram::new());
-    }
-
-    #[test]
-    fn observe_n_by_id_matches_repeated_observe() {
-        let mut bulk = MetricsRegistry::new();
-        let h = bulk.histogram_id("delay_ticks");
-        bulk.observe_n_by_id(h, 9, 4);
-        bulk.observe_n_by_id(h, 2, 1);
-        let mut reference = MetricsRegistry::new();
-        for v in [9u64, 9, 9, 9, 2] {
-            reference.observe("delay_ticks", v);
-        }
-        assert_eq!(bulk, reference);
-        assert_eq!(bulk.to_json(), reference.to_json());
     }
 
     #[test]

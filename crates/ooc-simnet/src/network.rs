@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// *Every* variant clamps the sampled delay to **at least 1 tick**: a
 /// zero-tick delay would deliver a message at the instant it was sent,
-/// letting effects land at the same time as (or, after heap reordering,
+/// letting effects land at the same time as (or, after same-tick reordering,
 /// logically before) their cause. Concretely, `Fixed(0)` behaves as
 /// `Fixed(1)`, and `Uniform` clamps each bound to ≥ 1 (so
 /// `min: 0, max: 0` also yields 1-tick delays), exactly as
@@ -352,159 +352,6 @@ impl NetworkConfig {
     }
 }
 
-/// Per-recipient routing state resolved once per `(sender, tick)` by the
-/// [`FanoutPlanner`]: everything [`NetworkConfig`] would answer for the
-/// directed link, with the override/global fallback already applied.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LinkPlan {
-    /// `NetworkConfig::drop_probability_for(from, to)`.
-    pub(crate) drop_probability: f64,
-    /// `NetworkConfig::delay_for(from, to)`.
-    pub(crate) delay: DelayModel,
-}
-
-/// One-pass delivery planning for the batched broadcast fan-out path.
-///
-/// The per-recipient routing path re-derives everything per message:
-/// every send scans the partition and flapping windows twice (sender
-/// and recipient group lookup), and scans `link_overrides` twice more
-/// (drop probability, then delay model). A broadcast of `n - 1`
-/// messages therefore pays `O(n · windows + n · overrides)` just to
-/// rediscover state that is fixed for the whole `(sender, tick)` batch.
-///
-/// The planner resolves that state once:
-///
-/// * **Link classes** (`drop_probability`, `delay`) depend only on the
-///   static `link_overrides` list, so they are resolved lazily per
-///   sender and cached for the rest of the run.
-/// * **Partition blocking** depends on the tick; the `blocked` scratch
-///   vector is rebuilt only when `(sender, tick)` changes, and only
-///   when the config has any window at all (the common no-partition
-///   case keeps it permanently all-false).
-/// * Clock scaling never applies to message transit (only timers), and
-///   adversary classification is the caller's gate: the planner is only
-///   consulted when the engine runs the default [`NetworkConfig`]-driven
-///   routing (`NetworkAdversary`), never for custom adversaries.
-///
-/// The planner answers exactly what `NetworkAdversary::route` /
-/// `::duplicate` would compute — the caller is responsible for drawing
-/// from the RNG in the identical per-recipient order (partition check:
-/// no draw; loss: one `chance` draw iff `drop_probability > 0`; delay:
-/// `DelayModel::sample`; duplication: one `chance` draw iff
-/// `duplicate_probability > 0`), which is what keeps traces, metrics
-/// and artifacts byte-identical across the two fan-out kinds.
-pub(crate) struct FanoutPlanner {
-    config: NetworkConfig,
-    /// Per-sender resolved link classes, built on first use (the
-    /// override list is static for a run).
-    links: Vec<Option<Box<[LinkPlan]>>>,
-    /// Scratch blocked-recipient flags for `blocked_for`.
-    blocked: Vec<bool>,
-    /// The `(tick, sender)` the `blocked` flags were resolved for.
-    blocked_for: Option<(SimTime, ProcessId)>,
-    /// False iff the config has no partition or flapping window — the
-    /// `blocked` flags then stay all-false without ever being scanned.
-    has_windows: bool,
-    /// The sender `prepare` most recently resolved.
-    current: usize,
-}
-
-impl FanoutPlanner {
-    pub(crate) fn new(config: NetworkConfig, n: usize) -> Self {
-        let has_windows = !config.partitions.is_empty() || !config.flapping.is_empty();
-        FanoutPlanner {
-            links: vec![None; n],
-            blocked: vec![false; n],
-            blocked_for: None,
-            has_windows,
-            current: 0,
-            config,
-        }
-    }
-
-    /// The global duplication probability (never overridden per link).
-    pub(crate) fn duplicate_probability(&self) -> f64 {
-        self.config.duplicate_probability
-    }
-
-    /// Resolves routing state for one `(tick, sender)` fan-out batch.
-    /// Idempotent and cheap when called again with the same pair.
-    pub(crate) fn prepare(&mut self, at: SimTime, from: ProcessId) {
-        self.current = from.index();
-        if self.links[self.current].is_none() {
-            self.links[self.current] = Some(self.resolve_links(from));
-        }
-        if self.has_windows && self.blocked_for != Some((at, from)) {
-            self.blocked.fill(false);
-            for w in &self.config.partitions {
-                if at >= w.from && at < w.until {
-                    mark_blocked(&w.groups, from, &mut self.blocked);
-                }
-            }
-            for w in &self.config.flapping {
-                if w.active(at) {
-                    mark_blocked(&w.groups, from, &mut self.blocked);
-                }
-            }
-            self.blocked_for = Some((at, from));
-        }
-    }
-
-    /// Whether the prepared sender's messages to `to` cross an active
-    /// partition — exactly `NetworkConfig::partition_blocks`.
-    pub(crate) fn blocked(&self, to: ProcessId) -> bool {
-        self.blocked[to.index()]
-    }
-
-    /// The prepared sender's resolved link class for `to`.
-    pub(crate) fn link(&self, to: ProcessId) -> &LinkPlan {
-        &self.links[self.current].as_ref().expect("prepare() resolves links")[to.index()]
-    }
-
-    /// One pass over `link_overrides` for `from`, keeping the *last*
-    /// matching override per recipient (the `link_override` contract:
-    /// fields of the winning override fall back to the globals
-    /// independently; earlier overrides are ignored entirely).
-    fn resolve_links(&self, from: ProcessId) -> Box<[LinkPlan]> {
-        let n = self.blocked.len();
-        let mut winner: Vec<Option<&LinkOverride>> = vec![None; n];
-        for o in &self.config.link_overrides {
-            if o.from == from && o.to.index() < n {
-                winner[o.to.index()] = Some(o);
-            }
-        }
-        winner
-            .into_iter()
-            .map(|o| LinkPlan {
-                drop_probability: o
-                    .and_then(|o| o.drop_probability)
-                    .unwrap_or(self.config.drop_probability),
-                delay: o.and_then(|o| o.delay).unwrap_or(self.config.delay),
-            })
-            .collect()
-    }
-}
-
-/// Marks every recipient an active window forbids for `from`, with the
-/// same group-lookup semantics as `PartitionWindow::allows`: first group
-/// containing the process wins, a sender or recipient in no group is
-/// isolated, and cross-group (or isolated) pairs are blocked.
-fn mark_blocked(groups: &[Vec<ProcessId>], from: ProcessId, blocked: &mut [bool]) {
-    match groups.iter().position(|g| g.contains(&from)) {
-        None => blocked.fill(true),
-        Some(ga) => {
-            for (i, b) in blocked.iter_mut().enumerate() {
-                if !*b {
-                    let gb = groups.iter().position(|g| g.contains(&ProcessId(i)));
-                    if gb != Some(ga) {
-                        *b = true;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,90 +668,6 @@ mod tests {
         assert!(cfg.partition_blocks(SimTime::from_ticks(2), ProcessId(0), ProcessId(1)));
         assert!(!cfg.partition_blocks(SimTime::from_ticks(6), ProcessId(0), ProcessId(1)));
         assert!(!cfg.partition_blocks(SimTime::from_ticks(100), ProcessId(0), ProcessId(1)));
-    }
-
-    /// A random gray-failure config: partitions, flaps (sometimes with
-    /// isolated processes), and redundant link overrides (including
-    /// repeated links, so last-wins and per-field fallback are covered).
-    fn random_config(rng: &mut SplitMix64, n: usize) -> NetworkConfig {
-        fn groups(rng: &mut SplitMix64, n: usize) -> Vec<Vec<ProcessId>> {
-            let mut gs: Vec<Vec<ProcessId>> = vec![Vec::new(), Vec::new()];
-            for i in 0..n {
-                match rng.below(3) {
-                    0 => gs[0].push(ProcessId(i)),
-                    1 => gs[1].push(ProcessId(i)),
-                    _ => {} // isolated
-                }
-            }
-            gs
-        }
-        let mut cfg = NetworkConfig {
-            drop_probability: rng.below(3) as f64 * 0.1,
-            duplicate_probability: rng.below(2) as f64 * 0.2,
-            ..NetworkConfig::default()
-        };
-        for _ in 0..rng.below(3) {
-            let from = rng.below(200);
-            cfg.partitions.push(PartitionWindow {
-                from: SimTime::from_ticks(from),
-                until: SimTime::from_ticks(from + rng.below(100)),
-                groups: groups(rng, n),
-            });
-        }
-        for _ in 0..rng.below(3) {
-            cfg.flapping.push(FlappingPartition {
-                from: SimTime::from_ticks(rng.below(100)),
-                until: SimTime::from_ticks(100 + rng.below(200)),
-                period: rng.below(30),
-                partitioned: rng.below(30),
-                groups: groups(rng, n),
-            });
-        }
-        for _ in 0..rng.below(6) {
-            cfg.link_overrides.push(LinkOverride {
-                from: ProcessId(rng.below(n as u64) as usize),
-                to: ProcessId(rng.below(n as u64) as usize),
-                drop_probability: if rng.chance(0.5) { Some(0.4) } else { None },
-                delay: if rng.chance(0.5) {
-                    Some(DelayModel::Fixed(1 + rng.below(40)))
-                } else {
-                    None
-                },
-            });
-        }
-        cfg
-    }
-
-    #[test]
-    fn fanout_planner_matches_per_link_config_lookups() {
-        // The planner's batch-resolved state must agree with the three
-        // per-message NetworkConfig lookups it replaces, for every
-        // (tick, sender, recipient) triple, across random gray configs.
-        for seed in 0..60u64 {
-            let mut rng = SplitMix64::new(0xFA0 ^ seed);
-            let n = 3 + rng.below(5) as usize;
-            let cfg = random_config(&mut rng, n);
-            let mut planner = FanoutPlanner::new(cfg.clone(), n);
-            assert_eq!(planner.duplicate_probability(), cfg.duplicate_probability);
-            for _ in 0..40 {
-                let t = SimTime::from_ticks(rng.below(400));
-                let from = ProcessId(rng.below(n as u64) as usize);
-                planner.prepare(t, from);
-                for to in (0..n).map(ProcessId) {
-                    if to == from {
-                        continue; // self-sends never reach routing
-                    }
-                    assert_eq!(
-                        planner.blocked(to),
-                        cfg.partition_blocks(t, from, to),
-                        "seed {seed}: blocked({t:?}, {from:?}, {to:?}) diverged"
-                    );
-                    let link = planner.link(to);
-                    assert_eq!(link.drop_probability, cfg.drop_probability_for(from, to));
-                    assert_eq!(&link.delay, cfg.delay_for(from, to));
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! Event scheduling queues for the engine.
+//! The engine's event scheduler.
 //!
-//! The engine's scheduler contract is a strict total order on events:
-//! pop by ascending `(at, seq)`, where `seq` is the globally monotone
-//! counter assigned at scheduling time. Two implementations satisfy it:
-//!
-//! * [`TimingWheel`] — the default. A bucketed calendar queue keyed on
-//!   tick: near-future events land in one of [`WHEEL_SLOTS`] FIFO
-//!   buckets (push and pop are O(1) plus a word-wise occupancy-bitmap
-//!   scan), far-future events wait in a sorted overflow level that is
-//!   migrated into the buckets as the cursor advances.
-//! * A plain `BinaryHeap`, retained as the reference implementation for
-//!   A/B equivalence testing (`SchedulerKind::BinaryHeap`).
+//! The scheduler contract is a strict total order on events: pop by
+//! ascending `(at, seq)`, where `seq` is the globally monotone counter
+//! assigned at scheduling time. [`TimingWheel`] meets it with a bucketed
+//! calendar queue keyed on tick: near-future events land in one of
+//! [`WHEEL_SLOTS`] FIFO buckets (push and pop are O(1) plus a word-wise
+//! occupancy-bitmap scan), far-future events wait in a sorted overflow
+//! level that is migrated into the buckets as the cursor advances. The
+//! tests below hold it to the reference model, a min-heap over
+//! `(at, seq)`.
 //!
 //! ## Ordering invariants
 //!
@@ -33,18 +31,6 @@ pub(crate) const WHEEL_SLOTS: usize = 1024;
 
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
-
-/// One planned insertion for [`TimingWheel::push_batch`]: the batched
-/// fan-out path accumulates these in a reusable scratch `Vec` while it
-/// walks a broadcast's recipients, then hands the whole batch to the
-/// queue in one call.
-pub(crate) struct PlannedEvent<T> {
-    /// Absolute delivery tick.
-    pub(crate) at: u64,
-    /// Globally monotone scheduling sequence.
-    pub(crate) seq: u64,
-    pub(crate) item: T,
-}
 
 /// A bucketed timing wheel over items ordered by `(at, seq)`.
 ///
@@ -97,96 +83,15 @@ impl<T> TimingWheel<T> {
         // cannot overflow near `u64::MAX`.
         if at.wrapping_sub(self.cursor) < WHEEL_SLOTS as u64 {
             let slot = (at & SLOT_MASK) as usize;
-            debug_assert!(self.slots[slot].iter().all(|&(t, _, _)| t == at));
+            // Every entry of a bucket shares one tick, so the front
+            // stands for all of them.
+            debug_assert!(self.slots[slot].front().is_none_or(|&(t, _, _)| t == at));
             self.slots[slot].push_back((at, seq, item));
             self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
             self.overflow.insert((at, seq), item);
         }
         self.len += 1;
-    }
-
-    /// Bulk insert of a planned fan-out batch.
-    ///
-    /// Equivalent to calling [`TimingWheel::push`] once per entry, in
-    /// order, with the window boundary load hoisted out of the loop and
-    /// the length updated once at the end. (An earlier version also
-    /// accumulated occupancy-bitmap words locally and merged them in a
-    /// final pass; for realistic broadcast batches — a handful of
-    /// entries — zeroing and merging 16 words costs more than one
-    /// direct OR per entry, so the bitmap is updated in place.)
-    ///
-    /// The batch must satisfy the same contract as `push` — every `at`
-    /// is `>= cursor` and `seq` values are strictly increasing across
-    /// the batch (and exceed all previously pushed sequences). Because
-    /// entries arrive in `seq` order, appending them in iteration order
-    /// keeps every destination bucket sorted, and since `push_batch`
-    /// never moves the cursor, the eager-migration invariant (overflow
-    /// entries migrate before any later direct push for their tick) is
-    /// trivially preserved.
-    pub(crate) fn push_batch(&mut self, batch: std::vec::Drain<'_, PlannedEvent<T>>) {
-        let cursor = self.cursor;
-        let mut added = 0usize;
-        for PlannedEvent { at, seq, item } in batch {
-            debug_assert!(at >= cursor, "scheduled into the past: {at} < {cursor}");
-            if at.wrapping_sub(cursor) < WHEEL_SLOTS as u64 {
-                let slot = (at & SLOT_MASK) as usize;
-                debug_assert!(self.slots[slot].iter().all(|&(t, _, _)| t == at));
-                self.slots[slot].push_back((at, seq, item));
-                self.occupied[slot / 64] |= 1 << (slot % 64);
-            } else {
-                self.overflow.insert((at, seq), item);
-            }
-            added += 1;
-        }
-        self.len += added;
-    }
-
-    /// Bulk insert of a same-tick run: every entry shares the delivery
-    /// tick `at` and carries `(seq, item)` with `seq` strictly
-    /// increasing across the run.
-    ///
-    /// Equivalent to calling [`TimingWheel::push`] once per entry in
-    /// order, but the window test, slot resolution and occupancy-bitmap
-    /// update happen once for the whole run, and the destination bucket
-    /// grows with a single capacity reservation instead of per-entry
-    /// amortized doubling. This is the broadcast hot path: a uniform
-    /// fan-out lands every non-self recipient on one tick.
-    ///
-    /// Same contract as `push`: `at >= cursor`, and the run's `seq`
-    /// values exceed all previously pushed sequences. A seq-increasing
-    /// append keeps the bucket FIFO-sorted, and the cursor never moves,
-    /// so the eager-migration invariant is untouched.
-    pub(crate) fn push_run(&mut self, at: u64, run: std::vec::Drain<'_, (u64, T)>) {
-        let n = run.len();
-        self.extend_run(at, n, run);
-    }
-
-    /// Iterator-driven form of [`TimingWheel::push_run`]: the caller
-    /// passes the run length up front (the iterator must yield exactly
-    /// `n` entries) so the broadcast hot path can stream deliveries
-    /// straight out of a sender's outbox into the destination bucket,
-    /// with no intermediate scratch buffer. Same ordering contract as
-    /// `push_run`.
-    pub(crate) fn extend_run<I>(&mut self, at: u64, n: usize, run: I)
-    where
-        I: Iterator<Item = (u64, T)>,
-    {
-        if n == 0 {
-            return;
-        }
-        debug_assert!(at >= self.cursor, "scheduled into the past: {at} < {}", self.cursor);
-        if at.wrapping_sub(self.cursor) < WHEEL_SLOTS as u64 {
-            let slot = (at & SLOT_MASK) as usize;
-            debug_assert!(self.slots[slot].iter().all(|&(t, _, _)| t == at));
-            let bucket = &mut self.slots[slot];
-            bucket.reserve(n);
-            bucket.extend(run.map(|(seq, item)| (at, seq, item)));
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-        } else {
-            self.overflow.extend(run.map(|(seq, item)| ((at, seq), item)));
-        }
-        self.len += n;
     }
 
     /// The tick of the earliest pending event, if any.
@@ -250,7 +155,7 @@ impl<T> TimingWheel<T> {
         // the same residue would have to equal it) bucket.
         for ((tick, seq), item) in in_window {
             let slot = (tick & SLOT_MASK) as usize;
-            debug_assert!(self.slots[slot].iter().all(|&(t, _, _)| t == tick));
+            debug_assert!(self.slots[slot].front().is_none_or(|&(t, _, _)| t == tick));
             self.slots[slot].push_back((tick, seq, item));
             self.occupied[slot / 64] |= 1 << (slot % 64);
         }
@@ -393,212 +298,6 @@ mod tests {
             Some((u64::MAX, 1))
         );
         assert!(wheel.pop().is_none());
-    }
-
-    fn batch(entries: &[(u64, u64)]) -> Vec<PlannedEvent<()>> {
-        entries
-            .iter()
-            .map(|&(at, seq)| PlannedEvent { at, seq, item: () })
-            .collect()
-    }
-
-    fn drain(wheel: &mut TimingWheel<()>) -> Vec<(u64, u64)> {
-        std::iter::from_fn(|| wheel.pop().map(|(at, seq, ())| (at, seq))).collect()
-    }
-
-    #[test]
-    fn push_batch_empty_is_a_no_op() {
-        let mut wheel: TimingWheel<()> = TimingWheel::new();
-        wheel.push_batch(batch(&[]).drain(..));
-        assert_eq!(wheel.len(), 0);
-        assert_eq!(wheel.next_time(), None);
-    }
-
-    #[test]
-    fn push_batch_spanning_slot_wrap_pops_in_order() {
-        // Advance the cursor near the end of the wheel so the window
-        // wraps: in-window ticks straddle the slot-index wraparound.
-        let mut wheel = TimingWheel::new();
-        wheel.push(WHEEL_SLOTS as u64 - 2, 0, ());
-        assert_eq!(wheel.pop().map(|(at, _, _)| at), Some(WHEEL_SLOTS as u64 - 2));
-        // Cursor is now WHEEL_SLOTS - 2; slots for the batch below map to
-        // indices {1022, 1023, 0, 1, ...} — both sides of the wrap.
-        let at0 = WHEEL_SLOTS as u64 - 2;
-        let mut b = batch(&[(at0, 1), (at0 + 1, 2), (at0 + 2, 3), (at0 + 5, 4), (at0, 5)]);
-        wheel.push_batch(b.drain(..));
-        assert_eq!(wheel.len(), 5);
-        assert_eq!(
-            drain(&mut wheel),
-            vec![(at0, 1), (at0, 5), (at0 + 1, 2), (at0 + 2, 3), (at0 + 5, 4)]
-        );
-    }
-
-    #[test]
-    fn push_batch_entirely_in_overflow_migrates_like_push() {
-        let far = WHEEL_SLOTS as u64 * 5;
-        let mut wheel = TimingWheel::new();
-        let mut b = batch(&[(far, 0), (far + 3, 1), (far, 2)]);
-        wheel.push_batch(b.drain(..));
-        assert_eq!(wheel.len(), 3);
-        assert_eq!(wheel.next_time(), Some(far));
-        assert_eq!(drain(&mut wheel), vec![(far, 0), (far, 2), (far + 3, 1)]);
-    }
-
-    #[test]
-    fn push_batch_interleaved_with_single_pushes_keeps_fifo_order() {
-        // (at, seq) FIFO must hold across batch/single boundaries: same
-        // ticks fed through both entry points pop strictly by seq.
-        let mut wheel = TimingWheel::new();
-        wheel.push(10, 0, ());
-        let mut b = batch(&[(10, 1), (12, 2), (2_000_000, 3)]);
-        wheel.push_batch(b.drain(..));
-        wheel.push(10, 4, ());
-        let mut b2 = batch(&[(10, 5), (12, 6)]);
-        wheel.push_batch(b2.drain(..));
-        assert_eq!(
-            drain(&mut wheel),
-            vec![(10, 0), (10, 1), (10, 4), (10, 5), (12, 2), (12, 6), (2_000_000, 3)]
-        );
-    }
-
-    #[test]
-    fn push_run_empty_is_a_no_op_and_sets_no_occupancy() {
-        let mut wheel: TimingWheel<()> = TimingWheel::new();
-        let mut run: Vec<(u64, ())> = Vec::new();
-        wheel.push_run(42, run.drain(..));
-        assert_eq!(wheel.len(), 0);
-        // An empty run must not mark slot 42 occupied: a stale bit would
-        // make the bitmap scan report a phantom earliest event.
-        assert_eq!(wheel.next_time(), None);
-        assert!(wheel.pop().is_none());
-    }
-
-    #[test]
-    fn push_run_matches_per_entry_pushes() {
-        let mut wheel = TimingWheel::new();
-        let mut reference = TimingWheel::new();
-        let mut run = vec![(0u64, ()), (1, ()), (2, ())];
-        for &(seq, item) in &run {
-            reference.push(9, seq, item);
-        }
-        wheel.push_run(9, run.drain(..));
-        assert_eq!(wheel.len(), 3);
-        assert_eq!(drain(&mut wheel), drain(&mut reference));
-    }
-
-    #[test]
-    fn push_run_in_overflow_migrates_like_push() {
-        let far = WHEEL_SLOTS as u64 * 7 + 3;
-        let mut wheel = TimingWheel::new();
-        let mut run = vec![(0u64, ()), (1, ()), (2, ())];
-        wheel.push_run(far, run.drain(..));
-        wheel.push(10, 3, ());
-        assert_eq!(wheel.len(), 4);
-        assert_eq!(
-            drain(&mut wheel),
-            vec![(10, 3), (far, 0), (far, 1), (far, 2)]
-        );
-    }
-
-    #[test]
-    fn push_run_interleaves_with_push_and_push_batch_by_seq() {
-        // All three entry points feeding the same tick must pop strictly
-        // by seq: runs and batches are seq-increasing subsequences of
-        // one global send order.
-        let mut wheel = TimingWheel::new();
-        wheel.push(20, 0, ());
-        let mut run = vec![(1u64, ()), (2, ())];
-        wheel.push_run(20, run.drain(..));
-        let mut b = batch(&[(20, 3), (25, 4)]);
-        wheel.push_batch(b.drain(..));
-        let mut run2 = vec![(5u64, ())];
-        wheel.push_run(20, run2.drain(..));
-        assert_eq!(
-            drain(&mut wheel),
-            vec![(20, 0), (20, 1), (20, 2), (20, 3), (20, 5), (25, 4)]
-        );
-    }
-
-    #[test]
-    fn randomized_runs_match_heap_order() {
-        // Same-tick runs of random length at mixed near/far ticks,
-        // interleaved with pops, against the min-heap reference.
-        for seed in 0..100u64 {
-            let mut rng = SplitMix64::new(seed);
-            let mut wheel = TimingWheel::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-            let mut run: Vec<(u64, ())> = Vec::new();
-            let mut floor = 0u64;
-            let mut seq = 0u64;
-            for _round in 0..60 {
-                let at = floor
-                    + match rng.below(10) {
-                        0..=6 => rng.below(64),
-                        7..=8 => rng.below(WHEEL_SLOTS as u64 * 2),
-                        _ => WHEEL_SLOTS as u64 + rng.below(1 << 16),
-                    };
-                for _ in 0..rng.below(8) {
-                    run.push((seq, ()));
-                    heap.push(Reverse((at, seq)));
-                    seq += 1;
-                }
-                wheel.push_run(at, run.drain(..));
-                for _ in 0..rng.below(4) {
-                    let w = wheel.pop().map(|(at, seq, ())| (at, seq));
-                    let h = heap.pop().map(|Reverse(p)| p);
-                    assert_eq!(w, h, "seed {seed} diverged");
-                    if let Some((at, _)) = w {
-                        floor = at;
-                    }
-                }
-            }
-            while let Some((at, s, ())) = wheel.pop() {
-                assert_eq!(heap.pop().map(|Reverse(p)| p), Some((at, s)));
-            }
-            assert!(heap.pop().is_none(), "seed {seed}: heap had extra events");
-        }
-    }
-
-    #[test]
-    fn randomized_batches_match_heap_order() {
-        // Mirror of `randomized_schedules_match_heap_order`, but feeding
-        // the wheel in chunks through `push_batch`.
-        for seed in 0..100u64 {
-            let mut rng = SplitMix64::new(seed);
-            let mut wheel = TimingWheel::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-            let mut scratch: Vec<PlannedEvent<()>> = Vec::new();
-            let mut floor = 0u64;
-            let mut seq = 0u64;
-            for _round in 0..40 {
-                let chunk = rng.below(6);
-                for _ in 0..chunk {
-                    let at = floor
-                        + match rng.below(10) {
-                            0..=6 => rng.below(64),
-                            7..=8 => rng.below(WHEEL_SLOTS as u64 * 2),
-                            _ => WHEEL_SLOTS as u64 + rng.below(1 << 16),
-                        };
-                    scratch.push(PlannedEvent { at, seq, item: () });
-                    heap.push(Reverse((at, seq)));
-                    seq += 1;
-                }
-                wheel.push_batch(scratch.drain(..));
-                assert!(scratch.is_empty());
-                for _ in 0..rng.below(4) {
-                    let w = wheel.pop().map(|(at, seq, ())| (at, seq));
-                    let h = heap.pop().map(|Reverse(p)| p);
-                    assert_eq!(w, h, "seed {seed} diverged");
-                    if let Some((at, _)) = w {
-                        floor = at;
-                    }
-                }
-            }
-            while let Some((at, s, ())) = wheel.pop() {
-                assert_eq!(heap.pop().map(|Reverse(p)| p), Some((at, s)));
-            }
-            assert!(heap.pop().is_none(), "seed {seed}: heap had extra events");
-        }
     }
 
     #[test]

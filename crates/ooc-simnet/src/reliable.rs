@@ -41,11 +41,11 @@
 //!   as `messages.evicted`, traced as [`TraceEvent::Evict`]) — never a
 //!   panic, never unbounded memory.
 //!
-//! The policy's `Off` arm is the A/B oracle: with reliability off the
-//! engine takes the exact same code paths it did before this module
-//! existed, byte-for-byte — the same discipline as
-//! [`SchedulerKind`](crate::SchedulerKind) and
-//! [`FanoutKind`](crate::FanoutKind).
+//! Both policies run through the engine's one send path. Under
+//! `Retransmit` a first send is registered here and its copies are tagged
+//! with their pair sequence number; a retransmission re-enters the same
+//! path with its existing seq. Under `Off` nothing is registered, tagged
+//! or drawn from the reliability stream: a dropped message is gone.
 //!
 //! [`SimBuilder::reliability`]: crate::SimBuilder::reliability
 //! [`TraceEvent::Evict`]: crate::TraceEvent::Evict
@@ -57,11 +57,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether the engine retransmits unacknowledged messages.
 ///
-/// `Off` (the default) is the A/B oracle: the engine behaves exactly as
-/// it did before the reliable-delivery layer existed, byte-for-byte.
+/// `Off` (the default) is fire-and-forget delivery; `Retransmit` adds
+/// acks, deduplication and retransmission on top of the same send path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReliabilityPolicy {
-    /// Fire-and-forget (the historical behavior, and the oracle).
+    /// Fire-and-forget: a message the network drops is gone.
     #[default]
     Off,
     /// Ack/retransmit with deterministic backoff per [`RetransmitConfig`].

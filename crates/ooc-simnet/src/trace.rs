@@ -380,33 +380,6 @@ impl TraceRing {
         self.dropped
     }
 
-    /// Whether a pushed event can ever be observed through this ring:
-    /// `false` at [`TraceLevel::Off`] or capacity 0, where pushes only
-    /// tick the drop counter. Hot paths use this to skip building
-    /// expensive event payloads (e.g. `format!`ed message bodies) that
-    /// the ring would discard unread — observationally identical, since
-    /// [`push`](Self::push) ignores everything but the event's existence
-    /// in those states.
-    pub fn records_events(&self) -> bool {
-        self.level != TraceLevel::Off && self.capacity != Some(0)
-    }
-
-    /// Accounts for `n` events refused without being pushed; exactly
-    /// equivalent to `n` [`push`](Self::push) calls when
-    /// [`records_events`](Self::records_events) is `false` (a capacity-0
-    /// ring counts each push as a drop; at [`TraceLevel::Off`] pushes
-    /// vanish entirely and so does this). Hot paths use it to flush a
-    /// batch of would-be-discarded events in one call.
-    pub fn refuse_n(&mut self, n: u64) {
-        debug_assert!(
-            !self.records_events(),
-            "refuse_n on a recording ring would lose events"
-        );
-        if self.level != TraceLevel::Off {
-            self.dropped += n;
-        }
-    }
-
     /// Reserves capacity for `additional` further events. No-op when the
     /// ring is bounded (its storage is capped) or at [`TraceLevel::Off`].
     pub fn reserve(&mut self, additional: usize) {
@@ -764,37 +737,6 @@ mod tests {
         r.push(timer_at(1));
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 0, "Off level is silent, not 'dropping'");
-    }
-
-    #[test]
-    fn records_events_is_false_exactly_when_pushes_store_nothing() {
-        assert!(TraceRing::new(TraceLevel::Events, None).records_events());
-        assert!(TraceRing::new(TraceLevel::Events, Some(8)).records_events());
-        assert!(!TraceRing::new(TraceLevel::Events, Some(0)).records_events());
-        assert!(!TraceRing::new(TraceLevel::Off, None).records_events());
-        assert!(!TraceRing::new(TraceLevel::Off, Some(0)).records_events());
-    }
-
-    #[test]
-    fn refuse_n_matches_n_discarded_pushes() {
-        // The batched fan-out path skips per-message event construction
-        // when the ring discards everything and flushes the refusal
-        // count in one call; the observable state (emptiness, dropped
-        // counter, materialized trace) must match per-event pushes.
-        let mut bulk = TraceRing::new(TraceLevel::Events, Some(0));
-        bulk.refuse_n(5);
-        bulk.refuse_n(0);
-        let mut reference = TraceRing::new(TraceLevel::Events, Some(0));
-        for i in 0..5 {
-            reference.push(timer_at(i));
-        }
-        assert!(bulk.is_empty() && reference.is_empty());
-        assert_eq!(bulk.dropped(), reference.dropped());
-        assert!(bulk.to_trace().is_empty());
-        // At Off level pushes are silent no-ops, and so is refuse_n.
-        let mut off = TraceRing::new(TraceLevel::Off, Some(0));
-        off.refuse_n(7);
-        assert_eq!(off.dropped(), 0);
     }
 
     #[test]
