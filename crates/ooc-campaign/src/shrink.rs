@@ -8,7 +8,7 @@
 //! construction, so the loop terminates; a run cap bounds the worst
 //! case. The result is the minimal counterexample to hand a human.
 
-use crate::artifact::{kind_name, FailureArtifact, ViolationSummary};
+use crate::artifact::{kind_name, Algorithm, FailureArtifact, ViolationSummary};
 use crate::runner::run_artifact;
 use ooc_core::checker::ViolationKind;
 use ooc_simnet::ReliabilityPolicy;
@@ -96,15 +96,11 @@ fn candidates(art: &FailureArtifact) -> Vec<FailureArtifact> {
         out.push(smaller);
     }
 
-    // Drop each scheduled fault. Dropping a crash can orphan a restart
-    // (the engine rejects restart-without-crash plans), so only offer
-    // candidates whose fault plan still validates.
+    // Drop each scheduled fault.
     for i in 0..art.faults.len() {
         let mut c = art.clone();
         c.faults.remove(i);
-        if crate::artifact::faults_to_plan(&c.faults).validate().is_ok() {
-            out.push(c);
-        }
+        out.push(c);
     }
 
     // Remove the adversary.
@@ -237,29 +233,23 @@ fn candidates(art: &FailureArtifact) -> Vec<FailureArtifact> {
         }
     }
 
+    // Offer only candidates that can run: dropping a crash can orphan
+    // its restart, and dropping a process can break the resilience bound.
+    out.retain(|c| c.validate().is_ok());
     out
 }
 
-/// Drops the highest-id process, if the protocol's resilience constraint
-/// still holds, filtering faults and partition members that referenced
-/// it.
+/// Drops the highest-id process, filtering faults and partition members
+/// that referenced it. Raft keeps at least two nodes: a one-node cluster
+/// elects itself unopposed.
 fn reduce_n(art: &FailureArtifact) -> Option<FailureArtifact> {
-    let n = art.n.checked_sub(1)?;
-    let fits = match art.algorithm {
-        crate::artifact::Algorithm::BenOr => 2 * art.t < n,
-        crate::artifact::Algorithm::PhaseKing => 3 * art.t < n,
-        crate::artifact::Algorithm::Raft => n >= 2,
-    };
-    if !fits {
-        return None;
-    }
+    let floor = if art.algorithm == Algorithm::Raft { 2 } else { 1 };
+    let n = art.n.checked_sub(1).filter(|&n| n >= floor)?;
     let mut c = art.clone();
     c.n = n;
-    let inputs_len = match art.algorithm {
-        crate::artifact::Algorithm::PhaseKing => n - art.byzantine.unwrap_or(art.t),
-        _ => n,
-    };
-    c.inputs.truncate(inputs_len);
+    // Inputs belong to the highest ids (Phase-King's Byzantine processes
+    // are the lowest), so the dropped process's input is the last one.
+    c.inputs.pop();
     c.faults.retain(|f| f.process() < n);
     if let Some(net) = c.network.as_mut() {
         for w in &mut net.partitions {
@@ -292,7 +282,7 @@ pub fn size_of(art: &FailureArtifact) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{AdversarySpec, Algorithm, FaultSpec};
+    use crate::artifact::{AdversarySpec, FaultSpec};
     use ooc_simnet::NetworkConfig;
 
     fn sabotaged_failure() -> FailureArtifact {
@@ -344,6 +334,12 @@ mod tests {
              the revived node remembers its ballot and cannot double-vote"
         );
         assert!(size_of(&shrunk.artifact) <= size_of(art));
+        // What the shrinker writes, replay and shrink must load again.
+        let text = shrunk.artifact.to_string_pretty();
+        assert_eq!(
+            FailureArtifact::from_json_str(&text).as_ref(),
+            Ok(&shrunk.artifact)
+        );
         let kind = shrunk
             .artifact
             .violation
