@@ -35,9 +35,8 @@ pub struct BenOrConfig {
     /// paper's rule is `t + 1`). See [`BenOrVac::with_commit_threshold`].
     pub commit_threshold: Option<usize>,
     /// Bounds engine trace capture to a ring of the most recent events
-    /// (`None` = unbounded, keep everything). Campaign sweeps that never
-    /// read happy-path traces set a small capacity; a failure is then
-    /// replayed from its seed artifact with the default unbounded capture.
+    /// (`None`, the default, keeps everything). Campaign runs set zero
+    /// and record no trace, since no campaign check reads one.
     pub trace_capacity: Option<usize>,
     /// Reliable-delivery policy of the engine. `Off` (the default)
     /// reproduces the historical fire-and-forget network byte-for-byte;
@@ -457,6 +456,44 @@ mod tests {
                 run.violations
             );
         }
+    }
+
+    #[test]
+    fn checks_see_the_same_run_with_and_without_a_trace() {
+        use ooc_core::checker::ViolationKind;
+        use ooc_simnet::{FaultPlan, ProcessId};
+        // The sabotaged-threshold case campaigns must catch: commit on t
+        // votes instead of t + 1, under a split-vote schedule. Campaign
+        // runs record no trace, so nothing the checks report may depend
+        // on trace capture.
+        let (n, t) = (7, 3);
+        let run = |seed, capacity: Option<usize>| {
+            let mut cfg = BenOrConfig::new(n, t)
+                .with_network(NetworkConfig::lossy(1, 5, 0.05))
+                .with_faults(FaultPlan::new().crash_at(ProcessId(6), SimTime::from_ticks(60)))
+                .with_max_rounds(200)
+                .with_sabotaged_commit_threshold(t);
+            if let Some(capacity) = capacity {
+                cfg = cfg.with_trace_capacity(capacity);
+            }
+            let adversary = split_adversary(n, (1, 3), (20, 40));
+            run_decomposed_with(&cfg, &balanced_inputs(n), seed, Some(adversary))
+        };
+        let seed = (0..300)
+            .find(|&seed| {
+                run(seed, Some(0))
+                    .violations
+                    .iter()
+                    .any(|v| v.kind != ViolationKind::Termination)
+            })
+            .expect("the sabotaged threshold breaks safety within 300 seeds");
+        let (blind, full) = (run(seed, Some(0)), run(seed, None));
+        assert!(blind.outcome.trace.is_empty());
+        assert!(!full.outcome.trace.is_empty());
+        assert_eq!(blind.violations, full.violations);
+        assert_eq!(blind.outcome.decisions, full.outcome.decisions);
+        assert_eq!(blind.outcome.stats, full.outcome.stats);
+        assert_eq!(blind.outcome.metrics.to_json(), full.outcome.metrics.to_json());
     }
 
     #[test]

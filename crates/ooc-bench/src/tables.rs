@@ -923,7 +923,7 @@ pub fn t15_with(profile: bool) -> Vec<(String, u64)> {
     }
 
     // Sweeps/sec over the T12 smoke grid: the full campaign pipeline
-    // (harness + checkers + bounded-ring traces) at the default worker
+    // (harness + checkers, no trace capture) at the default worker
     // count the CI throughput job uses.
     const COMBOS: usize = 64;
     let mut artifacts = grid(Algorithm::BenOr, COMBOS);

@@ -475,15 +475,17 @@ impl FailureArtifact {
             Some(items) => items
                 .iter()
                 .map(|c| {
-                    Ok((
-                        c.get("p")
-                            .and_then(Json::as_usize)
-                            .ok_or("clock_rates entry missing \"p\"")?,
-                        c.get("rate_percent")
-                            .and_then(Json::as_u64)
-                            .ok_or("clock_rates entry missing \"rate_percent\"")?
-                            as u32,
-                    ))
+                    let p = c
+                        .get("p")
+                        .and_then(Json::as_usize)
+                        .ok_or("clock_rates entry missing \"p\"")?;
+                    let rate = c
+                        .get("rate_percent")
+                        .and_then(Json::as_u64)
+                        .ok_or("clock_rates entry missing \"rate_percent\"")?;
+                    let rate = u32::try_from(rate)
+                        .map_err(|_| format!("clock rate_percent {rate} exceeds {}", u32::MAX))?;
+                    Ok((p, rate))
                 })
                 .collect::<Result<Vec<_>, String>>()?,
             None => Vec::new(),
@@ -541,9 +543,10 @@ impl FailureArtifact {
     /// a message instead of panicking mid-run: the resilience bound
     /// (`2t < n` for Ben-Or, `3t < n` for Phase-King; Raft runs on `n`
     /// alone and never reads `t`), `byzantine ≤ t`, one input per process
-    /// (per honest process for Phase-King), fault process ids below `n`,
-    /// no restarts for the crash-stop protocols, and a fault plan the
-    /// engine accepts (every restart follows a crash of its process).
+    /// (per honest process for Phase-King), process ids below `n` in
+    /// faults, clock rates, link overrides and partition or flapping
+    /// groups, no restarts for the crash-stop protocols, and a fault plan
+    /// the engine accepts (every restart follows a crash of its process).
     /// Phase-King also needs binary inputs, crashes on honest ids only,
     /// and Byzantine plus crashed processes within `t`. Retransmit knobs
     /// must keep the engine's backoff arithmetic in range: jitter at most
@@ -583,6 +586,24 @@ impl FailureArtifact {
                 "fault {f:?} names process {} but n={n}",
                 f.process()
             ));
+        }
+        if let Some((p, _)) = self.clock_rates.iter().find(|&&(p, _)| p >= n) {
+            return Err(format!("clock rate names process {p} but n={n}"));
+        }
+        if let Some(net) = &self.network {
+            let mut links = net.link_overrides.iter().flat_map(|l| [l.from, l.to]);
+            if let Some(p) = links.find(|p| p.index() >= n) {
+                let p = p.index();
+                return Err(format!("link override names process {p} but n={n}"));
+            }
+            let groups = net.partitions.iter().map(|w| ("partition", &w.groups));
+            let groups = groups.chain(net.flapping.iter().map(|f| ("flapping", &f.groups)));
+            for (kind, groups) in groups {
+                if let Some(p) = groups.iter().flatten().find(|p| p.index() >= n) {
+                    let p = p.index();
+                    return Err(format!("{kind} group names process {p} but n={n}"));
+                }
+            }
         }
         let crash_stop = self.algorithm != Algorithm::Raft;
         if crash_stop && !self.faults.iter().all(FaultSpec::is_crash) {
@@ -724,8 +745,14 @@ fn groups_from_json(json: &Json) -> Result<Vec<Vec<ProcessId>>, String> {
         .iter()
         .map(|g| {
             g.as_arr()
-                .ok_or_else(|| "partition group must be an array".to_string())
-                .map(|ids| ids.iter().filter_map(Json::as_usize).map(ProcessId).collect())
+                .ok_or("partition group must be an array")?
+                .iter()
+                .map(|id| {
+                    id.as_usize()
+                        .map(ProcessId)
+                        .ok_or_else(|| "partition group member must be a process id".to_string())
+                })
+                .collect()
         })
         .collect()
 }
@@ -1166,10 +1193,52 @@ mod tests {
             ..with(Algorithm::BenOr, 5, 2, None, vec![])
         };
         let d = RetransmitConfig::default();
+        // A 7-process Raft artifact whose network (the sample's, with one
+        // partition window) gets one edit.
+        let gray = |edit: fn(&mut NetworkConfig)| {
+            let mut a = with(Algorithm::Raft, 7, 3, None, vec![]);
+            edit(a.network.as_mut().expect("the sample has a network"));
+            a
+        };
+        fn flap(groups: Vec<Vec<ProcessId>>) -> FlappingPartition {
+            FlappingPartition {
+                from: SimTime::from_ticks(0),
+                until: SimTime::from_ticks(400),
+                period: 60,
+                partitioned: 30,
+                groups,
+            }
+        }
         let cases = [
             (
                 with(Algorithm::BenOr, 2, 1, None, vec![]),
                 "ben-or requires 2t < n",
+            ),
+            (
+                FailureArtifact {
+                    clock_rates: vec![(0, 130), (99, 80)],
+                    ..with(Algorithm::Raft, 7, 3, None, vec![])
+                },
+                "clock rate names process 99 but n=7",
+            ),
+            (
+                gray(|net| {
+                    net.link_overrides.push(LinkOverride {
+                        from: ProcessId(0),
+                        to: ProcessId(9),
+                        drop_probability: Some(0.5),
+                        delay: None,
+                    })
+                }),
+                "link override names process 9 but n=7",
+            ),
+            (
+                gray(|net| net.partitions[0].groups[1].push(ProcessId(9))),
+                "partition group names process 9 but n=7",
+            ),
+            (
+                gray(|net| net.flapping.push(flap(vec![vec![ProcessId(0), ProcessId(9)]]))),
+                "flapping group names process 9 but n=7",
             ),
             (
                 short_inputs(with(Algorithm::BenOr, 5, 2, None, vec![])),
@@ -1299,6 +1368,31 @@ mod tests {
         .replace("\"max_retries\": 7", "\"max_retries\": 4294967296");
         let err = FailureArtifact::from_json_str(&text).unwrap_err();
         assert!(err.contains("max_retries 4294967296 exceeds"), "{err}");
+        // So can a clock rate beyond u32, which used to load truncated.
+        let rated = FailureArtifact {
+            clock_rates: vec![(0, 7)],
+            ..with(Algorithm::Raft, 7, 3, None, vec![])
+        };
+        let text = rated
+            .to_string_pretty()
+            .replace("\"rate_percent\": 7", "\"rate_percent\": 4294967396");
+        let err = FailureArtifact::from_json_str(&text).unwrap_err();
+        assert!(
+            err.contains("clock rate_percent 4294967396 exceeds 4294967295"),
+            "{err}"
+        );
+        // And a group member that is not an integer, which used to be
+        // dropped: a sentinel id in the written text becomes "x".
+        let partition = gray(|net| net.partitions[0].groups[0].insert(1, ProcessId(424_242)));
+        let flapping = gray(|net| {
+            let members = vec![ProcessId(0), ProcessId(424_242), ProcessId(1)];
+            net.flapping.push(flap(vec![members]))
+        });
+        for art in [partition, flapping] {
+            let text = art.to_string_pretty().replace("424242", "\"x\"");
+            let err = FailureArtifact::from_json_str(&text).unwrap_err();
+            assert!(err.contains("group member must be a process id"), "{err}");
+        }
         // The limits themselves still load.
         let edge = retransmit(RetransmitConfig {
             rto_initial: u32::MAX.into(),
@@ -1312,8 +1406,11 @@ mod tests {
             Ok(edge)
         );
         // Raft runs on n alone, so a t beyond 2t < n (which the shrinker
-        // leaves behind when it drops processes) still loads.
-        let raft = with(Algorithm::Raft, 2, 1, None, vec![]);
+        // leaves behind when it drops processes) still loads. Its
+        // partition keeps only the two processes a 2-node cluster has.
+        let mut raft = with(Algorithm::Raft, 2, 1, None, vec![]);
+        raft.network.as_mut().expect("the sample has a network").partitions[0].groups =
+            vec![vec![ProcessId(0)], vec![ProcessId(1)]];
         assert_eq!(
             FailureArtifact::from_json_str(&raft.to_string_pretty()),
             Ok(raft)

@@ -23,14 +23,12 @@
 //! for the CLI's `--jobs` default — carries a reasoned suppression and
 //! only ever influences *how many* workers run, never what they compute.
 //!
-//! Each worker's runs capture traces into a bounded ring
+//! Campaign runs record no trace
 //! ([`CAMPAIGN_TRACE_CAPACITY`](crate::runner::CAMPAIGN_TRACE_CAPACITY)
-//! events per run), so a sweep's memory footprint stays flat in the
-//! combo count instead of accumulating every run's full event history.
-//! The ring holds *recent* events only; a full trace for any combo is
-//! recovered deterministically by replaying its seed artifact through
-//! the harness defaults. Sweep throughput is tracked by `ooc-bench`'s
-//! T15 table.
+//! is zero), so a sweep's memory footprint stays flat in the combo count
+//! instead of accumulating every run's event history. The algorithm
+//! harnesses capture in full by default. Sweep throughput is tracked by
+//! `ooc-bench`'s T15 table.
 
 use crate::artifact::FailureArtifact;
 use crate::runner::{run_artifact, CampaignOutcome};

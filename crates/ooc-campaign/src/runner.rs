@@ -65,11 +65,12 @@ impl CampaignOutcome {
     }
 }
 
-/// Trace-ring capacity for campaign sweeps: happy paths keep only the
-/// most recent events (enough context to orient on a violation report);
-/// the full trace is recovered by replaying the seed artifact through
-/// the harness defaults, which capture unbounded.
-pub const CAMPAIGN_TRACE_CAPACITY: usize = 256;
+/// Trace capacity for campaign runs: zero, so they record no trace. No
+/// campaign check reads one (Ben-Or's analysis folds the round
+/// histories, Raft's checks the nodes' event logs), and stats, metrics
+/// and decisions do not depend on trace capture. The harness defaults
+/// capture in full.
+pub const CAMPAIGN_TRACE_CAPACITY: usize = 0;
 
 /// The budget an artifact implies: its own round/tick caps plus fixed
 /// event and wall-clock guards so no single execution can stall a sweep.
@@ -110,10 +111,8 @@ fn run_ben_or(artifact: &FailureArtifact) -> CampaignOutcome {
             max_events: 5_000_000,
             ..RunLimit::default()
         })
-        // Sweeps never read happy-path traces, so trace capture runs in a
-        // small ring; a failure replays from its seed artifact through the
-        // harness defaults (unbounded) to recover the full trace. The
-        // outcome numbers below are unaffected — the ring is
+        // No campaign check reads the trace, so the run records none.
+        // The outcome numbers below are unaffected: trace capture is
         // observability-only.
         .with_trace_capacity(CAMPAIGN_TRACE_CAPACITY)
         .with_reliability(artifact.reliability);
@@ -258,7 +257,7 @@ fn run_raft_artifact(artifact: &FailureArtifact) -> CampaignOutcome {
     }
     .with_network(network_of(artifact))
     .with_faults(faults_to_plan(&artifact.faults))
-    // Same ring-capture rationale as the Ben-Or path above.
+    // No trace, as on the Ben-Or path above.
     .with_trace_capacity(CAMPAIGN_TRACE_CAPACITY);
     if let Some(policy) = artifact.storage_policy {
         cfg = cfg.with_storage(StorageFaultPlan::uniform(policy));

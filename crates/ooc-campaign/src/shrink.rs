@@ -239,9 +239,10 @@ fn candidates(art: &FailureArtifact) -> Vec<FailureArtifact> {
     out
 }
 
-/// Drops the highest-id process, filtering faults and partition members
-/// that referenced it. Raft keeps at least two nodes: a one-node cluster
-/// elects itself unopposed.
+/// Drops the highest-id process, filtering the faults, clock rates, link
+/// overrides and partition or flapping group members that referenced
+/// it. Raft keeps at least two nodes: a one-node cluster elects itself
+/// unopposed.
 fn reduce_n(art: &FailureArtifact) -> Option<FailureArtifact> {
     let floor = if art.algorithm == Algorithm::Raft { 2 } else { 1 };
     let n = art.n.checked_sub(1).filter(|&n| n >= floor)?;
@@ -251,12 +252,16 @@ fn reduce_n(art: &FailureArtifact) -> Option<FailureArtifact> {
     // are the lowest), so the dropped process's input is the last one.
     c.inputs.pop();
     c.faults.retain(|f| f.process() < n);
+    c.clock_rates.retain(|&(p, _)| p < n);
     if let Some(net) = c.network.as_mut() {
-        for w in &mut net.partitions {
-            for g in &mut w.groups {
+        net.link_overrides
+            .retain(|l| l.from.index() < n && l.to.index() < n);
+        let partitions = net.partitions.iter_mut().map(|w| &mut w.groups);
+        for groups in partitions.chain(net.flapping.iter_mut().map(|f| &mut f.groups)) {
+            for g in groups.iter_mut() {
                 g.retain(|p| p.index() < n);
             }
-            w.groups.retain(|g| !g.is_empty());
+            groups.retain(|g| !g.is_empty());
         }
     }
     Some(c)
@@ -395,6 +400,49 @@ mod tests {
             "the downgrade-toward-Off candidate must be accepted"
         );
         assert!(size_of(&report.artifact) < size_of(&art));
+    }
+
+    #[test]
+    fn reduce_n_drops_every_reference_to_the_removed_process() {
+        use ooc_simnet::{LinkOverride, PartitionWindow, ProcessId, SimTime};
+        // A T14 flapping-regime artifact (n = 7), with t lowered so that
+        // Ben-Or's bound still holds at n = 6, and p6 named in every
+        // family that names processes.
+        let mut art = crate::degradation::degradation_artifacts(1)
+            .into_iter()
+            .find(|a| a.network.as_ref().is_some_and(|net| !net.flapping.is_empty()))
+            .expect("the degradation grid has a flapping regime");
+        art.t = 2;
+        art.clock_rates.push((6, 80));
+        let net = art.network.as_mut().expect("gray artifacts have a network");
+        for (from, to) in [(6, 0), (0, 6), (1, 2)] {
+            net.link_overrides.push(LinkOverride {
+                from: ProcessId(from),
+                to: ProcessId(to),
+                drop_probability: Some(0.5),
+                delay: None,
+            });
+        }
+        net.partitions.push(PartitionWindow {
+            from: SimTime::from_ticks(0),
+            until: SimTime::from_ticks(100),
+            groups: vec![vec![ProcessId(0), ProcessId(1)], vec![ProcessId(6)]],
+        });
+        net.flapping[0].groups.push(vec![ProcessId(6)]);
+        assert_eq!(art.validate(), Ok(()));
+
+        let c = reduce_n(&art).expect("n = 7 can shrink");
+        assert_eq!(c.n, 6);
+        assert_eq!(c.validate(), Ok(()), "reduce_n must offer a runnable candidate");
+        assert!(c.clock_rates.iter().all(|&(p, _)| p < 6));
+        assert_eq!(c.clock_rates.len(), art.clock_rates.len() - 1);
+        let net = c.network.as_ref().expect("the network stays");
+        assert_eq!(net.link_overrides.len(), 1, "only the 1 -> 2 override survives");
+        let groups = net.partitions.iter().map(|w| &w.groups);
+        for groups in groups.chain(net.flapping.iter().map(|f| &f.groups)) {
+            assert!(groups.iter().all(|g| !g.is_empty()));
+            assert!(groups.iter().flatten().all(|p| p.index() < 6));
+        }
     }
 
     #[test]

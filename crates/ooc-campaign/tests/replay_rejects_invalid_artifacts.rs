@@ -3,7 +3,10 @@
 //! message, never a panic (exit code 101).
 
 use ooc_campaign::{Algorithm, FailureArtifact};
-use ooc_simnet::{ReliabilityPolicy, RetransmitConfig};
+use ooc_simnet::{
+    LinkOverride, NetworkConfig, PartitionWindow, ProcessId, ReliabilityPolicy, RetransmitConfig,
+    SimTime,
+};
 use std::process::Command;
 
 fn valid(algorithm: Algorithm) -> FailureArtifact {
@@ -22,6 +25,35 @@ fn valid(algorithm: Algorithm) -> FailureArtifact {
     art.inputs = vec![0; n - art.byzantine.unwrap_or(0)];
     art.faults.clear();
     art
+}
+
+/// A T14 degradation artifact (n = 7) from the flapping regime, which
+/// carries a flapping schedule and a clock rate.
+fn gray() -> FailureArtifact {
+    let art = ooc_campaign::degradation::degradation_artifacts(1)
+        .into_iter()
+        .find(|a| {
+            !a.clock_rates.is_empty()
+                && a.network
+                    .as_ref()
+                    .is_some_and(|net| !net.flapping.is_empty())
+        })
+        .expect("the degradation grid has a flapping regime");
+    assert_eq!(art.n, 7);
+    art
+}
+
+fn net(art: &mut FailureArtifact) -> &mut NetworkConfig {
+    art.network.as_mut().expect("gray artifacts have a network")
+}
+
+/// A partition window over `members` as one group.
+fn window(members: Vec<ProcessId>) -> PartitionWindow {
+    PartitionWindow {
+        from: SimTime::from_ticks(0),
+        until: SimTime::from_ticks(100),
+        groups: vec![members],
+    }
 }
 
 #[test]
@@ -71,6 +103,25 @@ fn replay_exits_2_on_artifacts_that_cannot_run() {
         }),
         "rto_initial 9223372036854775808 exceeds",
     ));
+    // Process ids beyond n in a clock rate, a link override, and a
+    // partition or flapping group.
+    let mut a = gray();
+    a.clock_rates.push((99, 100));
+    cases.push(("clock-rate-out-of-range", a, "clock rate names process 99 but n=7"));
+    let mut a = gray();
+    net(&mut a).link_overrides.push(LinkOverride {
+        from: ProcessId(9),
+        to: ProcessId(0),
+        drop_probability: Some(0.5),
+        delay: None,
+    });
+    cases.push(("link-override-out-of-range", a, "link override names process 9 but n=7"));
+    let mut a = gray();
+    net(&mut a).partitions.push(window(vec![ProcessId(0), ProcessId(9)]));
+    cases.push(("partition-group-out-of-range", a, "partition group names process 9 but n=7"));
+    let mut a = gray();
+    net(&mut a).flapping[0].groups[0].push(ProcessId(9));
+    cases.push(("flapping-group-out-of-range", a, "flapping group names process 9 but n=7"));
     let mut texts: Vec<(&str, String, &str)> = cases
         .into_iter()
         .map(|(name, art, expected)| (name, art.to_string_pretty(), expected))
@@ -84,6 +135,25 @@ fn replay_exits_2_on_artifacts_that_cannot_run() {
     .to_string_pretty()
     .replace("\"max_retries\": 7", "\"max_retries\": 4294967296");
     texts.push(("retransmit-retries", text, "max_retries 4294967296 exceeds"));
+    // So can values that used to load lossily: a clock rate beyond u32
+    // (once truncated), and a group member that is not an integer (once
+    // dropped), written over a sentinel id.
+    let mut a = gray();
+    a.clock_rates = vec![(0, 7)];
+    let text = a
+        .to_string_pretty()
+        .replace("\"rate_percent\": 7", "\"rate_percent\": 4294967396");
+    texts.push(("clock-rate-overflow", text, "rate_percent 4294967396 exceeds 4294967295"));
+    let mut partition = gray();
+    net(&mut partition)
+        .partitions
+        .push(window(vec![ProcessId(0), ProcessId(424_242), ProcessId(1)]));
+    let mut flapping = gray();
+    net(&mut flapping).flapping[0].groups[0].insert(1, ProcessId(424_242));
+    for (name, a) in [("partition-group-x", partition), ("flapping-group-x", flapping)] {
+        let text = a.to_string_pretty().replace("424242", "\"x\"");
+        texts.push((name, text, "group member must be a process id"));
+    }
 
     let dir = std::env::temp_dir().join(format!("ooc-replay-invalid-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");

@@ -30,8 +30,8 @@ pub struct RaftClusterConfig {
     /// Simulated-time budget.
     pub max_time: SimTime,
     /// Bounds engine trace capture to a ring of the most recent events
-    /// (`None` = unbounded). Campaign sweeps set a small capacity since
-    /// they never read happy-path traces; failures replay unbounded.
+    /// (`None`, the default, keeps everything). Campaign runs set zero
+    /// and record no trace, since no campaign check reads one.
     pub trace_capacity: Option<usize>,
 }
 
@@ -328,6 +328,53 @@ mod tests {
             assert!(run.violations.is_empty(), "seed {seed}: {:?}", run.violations);
             assert!(run.elections >= 1);
         }
+    }
+
+    #[test]
+    fn checks_see_the_same_run_with_and_without_a_trace() {
+        use ooc_simnet::{PartitionWindow, StoragePolicy};
+        // The amnesia case campaigns must catch: a voter crashes right
+        // after its first ballot, loses its store, and is revived into
+        // isolation where it can vote again. Campaign runs record no
+        // trace, so nothing the checks report may depend on trace
+        // capture.
+        let run = |victim: usize, seed, capacity: Option<usize>| {
+            let mut network = NetworkConfig::reliable(2);
+            network.partitions.push(PartitionWindow {
+                from: SimTime::from_ticks(420),
+                until: SimTime::from_ticks(1020),
+                groups: vec![vec![ProcessId(1 - victim)]],
+            });
+            let mut cfg = RaftClusterConfig::new(3)
+                .with_network(network)
+                .with_faults(
+                    FaultPlan::new()
+                        .crash_at(ProcessId(2), SimTime::from_ticks(5))
+                        .crash_after_events(ProcessId(victim), 2)
+                        .restart_at(ProcessId(victim), SimTime::from_ticks(420)),
+                )
+                .with_storage(StorageFaultPlan::uniform(StoragePolicy::Amnesia));
+            if let Some(capacity) = capacity {
+                cfg = cfg.with_trace_capacity(capacity);
+            }
+            run_raft(&cfg, &[1, 2, 3], seed)
+        };
+        let (victim, seed) = (0..2)
+            .flat_map(|victim| (0..12).map(move |seed| (victim, seed)))
+            .find(|&(victim, seed)| {
+                run(victim, seed, Some(0))
+                    .violations
+                    .iter()
+                    .any(|v| v.detail.contains("durability"))
+            })
+            .expect("an amnesiac voter double-votes within 12 seeds");
+        let (blind, full) = (run(victim, seed, Some(0)), run(victim, seed, None));
+        assert!(blind.outcome.trace.is_empty());
+        assert!(!full.outcome.trace.is_empty());
+        assert_eq!(blind.violations, full.violations);
+        assert_eq!(blind.outcome.decisions, full.outcome.decisions);
+        assert_eq!(blind.outcome.stats, full.outcome.stats);
+        assert_eq!(blind.outcome.metrics.to_json(), full.outcome.metrics.to_json());
     }
 
     #[test]

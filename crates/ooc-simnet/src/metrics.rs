@@ -24,9 +24,17 @@
 //! zero counter, an empty histogram) are invisible: they are skipped by
 //! iteration, lookup and JSON output, so pre-interning every engine
 //! metric does not change what a run reports.
+//!
+//! ## Shared name index
+//!
+//! The name indexes are `Arc`-shared and copied on write, so a clone
+//! copies only value slots. A registry cloned from a pre-interned
+//! template (as the engine does at every build) shares the template's
+//! index until it interns a name the template lacks.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A log-scaled histogram of tick values.
 ///
@@ -185,12 +193,13 @@ pub struct HistogramId(usize);
 /// Names are `'static` dotted paths (`"messages.dropped.loss"`); the
 /// `BTreeMap` name index makes iteration — and therefore
 /// [`to_json`](MetricsRegistry::to_json) — deterministic. Values live in
-/// dense slot vectors so interned handles update without a lookup.
+/// dense slot vectors so interned handles update without a lookup; the
+/// index itself is shared between clones (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counter_index: BTreeMap<&'static str, usize>,
+    counter_index: Arc<BTreeMap<&'static str, usize>>,
     counters: Vec<u64>,
-    histogram_index: BTreeMap<&'static str, usize>,
+    histogram_index: Arc<BTreeMap<&'static str, usize>>,
     histograms: Vec<TickHistogram>,
 }
 
@@ -204,12 +213,7 @@ impl MetricsRegistry {
     /// (at zero) on first use. A zero counter stays invisible to
     /// iteration and JSON until the first non-zero increment.
     pub fn counter_id(&mut self, name: &'static str) -> CounterId {
-        let next = self.counters.len();
-        let slot = *self.counter_index.entry(name).or_insert(next);
-        if slot == next {
-            self.counters.push(0);
-        }
-        CounterId(slot)
+        CounterId(intern(&mut self.counter_index, &mut self.counters, name))
     }
 
     /// Interns `name` and returns its histogram handle, creating an
@@ -217,12 +221,7 @@ impl MetricsRegistry {
     /// iteration, [`histogram`](Self::histogram) and JSON until its
     /// first observation.
     pub fn histogram_id(&mut self, name: &'static str) -> HistogramId {
-        let next = self.histograms.len();
-        let slot = *self.histogram_index.entry(name).or_insert(next);
-        if slot == next {
-            self.histograms.push(TickHistogram::new());
-        }
-        HistogramId(slot)
+        HistogramId(intern(&mut self.histogram_index, &mut self.histograms, name))
     }
 
     /// Adds `delta` to the counter behind a pre-resolved handle.
@@ -316,6 +315,23 @@ impl MetricsRegistry {
     }
 }
 
+/// The slot of `name` in `index`. Only a new name appends an empty
+/// (default) slot, and only a new name copies an index shared with
+/// another registry.
+fn intern<V: Default>(
+    index: &mut Arc<BTreeMap<&'static str, usize>>,
+    slots: &mut Vec<V>,
+    name: &'static str,
+) -> usize {
+    if let Some(&slot) = index.get(name) {
+        return slot;
+    }
+    let slot = slots.len();
+    Arc::make_mut(index).insert(name, slot);
+    slots.push(V::default());
+    slot
+}
+
 /// Registries compare by observable content (non-zero counters and
 /// non-empty histograms, in name order), not by interning history: a
 /// registry that pre-interned every engine metric equals one that only
@@ -382,6 +398,31 @@ mod tests {
         let mut plain = MetricsRegistry::new();
         plain.incr("hit", 1);
         assert_eq!(m, plain);
+    }
+
+    #[test]
+    fn clones_share_the_name_index_until_one_interns_a_new_name() {
+        let mut template = MetricsRegistry::new();
+        let sent = template.counter_id("messages.sent");
+        let mut a = template.clone();
+        let mut b = template.clone();
+        assert!(Arc::ptr_eq(&a.counter_index, &template.counter_index));
+        a.incr_by_id(sent, 2);
+        a.incr("only.in.a", 1);
+        b.observe("only.in.b", 5);
+        assert!(!Arc::ptr_eq(&a.counter_index, &template.counter_index));
+        assert_eq!(a.counter("messages.sent"), 2);
+        assert_eq!(b.counter("messages.sent"), 0);
+        assert_eq!(b.counter("only.in.a"), 0);
+        assert!(a.histogram("only.in.b").is_none());
+        assert_eq!(template.to_json(), "{\"counters\":{},\"histograms\":{}}");
+        assert_eq!(
+            a.to_json(),
+            "{\"counters\":{\"messages.sent\":2,\"only.in.a\":1},\"histograms\":{}}"
+        );
+        // The template still hands out the slot it always had.
+        assert_eq!(template.counter_id("messages.sent"), sent);
+        assert_eq!(template.counter_index.len(), 1);
     }
 
     #[test]

@@ -10,6 +10,16 @@
 //! tests below hold it to the reference model, a min-heap over
 //! `(at, seq)`.
 //!
+//! ## Storage
+//!
+//! The buckets are singly linked lists threaded through **one** node
+//! buffer, with per-slot `(head, tail)` indices. A popped node goes on a
+//! free list and the next push reuses it, so node storage grows with the
+//! peak number of pending events, not with slots × bucket depth. A new
+//! wheel allocates nothing; the slot table arrives with the first
+//! in-window push, and dropping the wheel frees two buffers plus the
+//! overflow map.
+//!
 //! ## Ordering invariants
 //!
 //! The wheel window is exactly `WHEEL_SLOTS` ticks wide, so a tick in
@@ -23,7 +33,7 @@
 //! bucket append that happened before the overflow migration for the
 //! same tick would break `seq` order.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Number of buckets in the timing wheel (a power of two so the slot
 /// index is a mask away from the tick).
@@ -32,6 +42,19 @@ pub(crate) const WHEEL_SLOTS: usize = 1024;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 
+/// The end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One in-window event, linked into its bucket (or, once popped, into
+/// the free list).
+struct Node<T> {
+    at: u64,
+    seq: u64,
+    next: u32,
+    /// `None` exactly while the node is on the free list.
+    item: Option<T>,
+}
+
 /// A bucketed timing wheel over items ordered by `(at, seq)`.
 ///
 /// `at` is an absolute tick; `seq` must be globally monotone across
@@ -39,9 +62,16 @@ const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 /// strictly ascending `(at, seq)` order — byte-identical to what a
 /// min-heap over `(at, seq)` would produce.
 pub(crate) struct TimingWheel<T> {
-    /// FIFO buckets; a bucket only ever holds events of a single tick
-    /// (see the module docs for why the window makes this injective).
-    slots: Vec<VecDeque<(u64, u64, T)>>,
+    /// Every in-window event, whether linked into a bucket or free.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list threaded through `nodes`.
+    free: u32,
+    /// Per-slot `[head, tail]` node indices of a FIFO bucket; a bucket
+    /// only ever holds events of a single tick (see the module docs for
+    /// why the window makes this injective). An entry is meaningful only
+    /// while the slot's occupancy bit is set. Empty until the first
+    /// in-window push.
+    slots: Vec<[u32; 2]>,
     /// One bit per slot: set iff the slot is non-empty. Scanning 16
     /// words replaces the heap's `O(log n)` sift for finding the next
     /// event.
@@ -59,7 +89,9 @@ pub(crate) struct TimingWheel<T> {
 impl<T> TimingWheel<T> {
     pub(crate) fn new() -> Self {
         TimingWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: Vec::new(),
             occupied: [0; BITMAP_WORDS],
             overflow: BTreeMap::new(),
             cursor: 0,
@@ -82,12 +114,7 @@ impl<T> TimingWheel<T> {
         // `at - cursor` (not `cursor + WHEEL_SLOTS`) so the window test
         // cannot overflow near `u64::MAX`.
         if at.wrapping_sub(self.cursor) < WHEEL_SLOTS as u64 {
-            let slot = (at & SLOT_MASK) as usize;
-            // Every entry of a bucket shares one tick, so the front
-            // stands for all of them.
-            debug_assert!(self.slots[slot].front().is_none_or(|&(t, _, _)| t == at));
-            self.slots[slot].push_back((at, seq, item));
-            self.occupied[slot / 64] |= 1 << (slot % 64);
+            self.append(at, seq, item);
         } else {
             self.overflow.insert((at, seq), item);
         }
@@ -124,15 +151,60 @@ impl<T> TimingWheel<T> {
             self.advance_to(at);
         }
         let slot = (at & SLOT_MASK) as usize;
-        let (t, seq, item) = self.slots[slot]
-            .pop_front()
-            .expect("scanned slot must be non-empty");
-        debug_assert_eq!(t, at);
-        if self.slots[slot].is_empty() {
+        let [head, tail] = self.slots[slot];
+        let node = &mut self.nodes[head as usize];
+        debug_assert_eq!(node.at, at);
+        let (seq, next) = (node.seq, node.next);
+        let item = node.item.take().expect("a linked node holds its item");
+        node.next = self.free;
+        self.free = head;
+        if head == tail {
             self.occupied[slot / 64] &= !(1 << (slot % 64));
+        } else {
+            self.slots[slot][0] = next;
         }
         self.len -= 1;
-        Some((t, seq, item))
+        Some((at, seq, item))
+    }
+
+    /// Appends an in-window event to the back of its tick's bucket,
+    /// reusing a free node when there is one.
+    fn append(&mut self, at: u64, seq: u64, item: T) {
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            item: Some(item),
+        };
+        let index = if self.free == NIL {
+            let index = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("timing wheel holds fewer than u32::MAX events");
+            self.nodes.push(node);
+            index
+        } else {
+            let index = self.free;
+            self.free = self.nodes[index as usize].next;
+            self.nodes[index as usize] = node;
+            index
+        };
+        if self.slots.is_empty() {
+            self.slots = vec![[NIL; 2]; WHEEL_SLOTS];
+        }
+        let slot = (at & SLOT_MASK) as usize;
+        let bit = 1 << (slot % 64);
+        if self.occupied[slot / 64] & bit == 0 {
+            self.slots[slot] = [index, index];
+            self.occupied[slot / 64] |= bit;
+        } else {
+            let [head, tail] = self.slots[slot];
+            // Every entry of a bucket shares one tick, so the front
+            // stands for all of them.
+            debug_assert_eq!(self.nodes[head as usize].at, at);
+            self.nodes[tail as usize].next = index;
+            self.slots[slot][1] = index;
+        }
     }
 
     /// Moves the cursor forward to `at` and eagerly migrates every
@@ -154,10 +226,7 @@ impl<T> TimingWheel<T> {
         // in-window tick maps to its own (empty — a resident tick with
         // the same residue would have to equal it) bucket.
         for ((tick, seq), item) in in_window {
-            let slot = (tick & SLOT_MASK) as usize;
-            debug_assert!(self.slots[slot].front().is_none_or(|&(t, _, _)| t == tick));
-            self.slots[slot].push_back((tick, seq, item));
-            self.occupied[slot / 64] |= 1 << (slot % 64);
+            self.append(tick, seq, item);
         }
     }
 
@@ -298,6 +367,61 @@ mod tests {
             Some((u64::MAX, 1))
         );
         assert!(wheel.pop().is_none());
+    }
+
+    #[test]
+    fn node_storage_stays_within_peak_pending_events() {
+        let fresh: TimingWheel<u64> = TimingWheel::new();
+        assert_eq!(fresh.nodes.capacity(), 0, "a new wheel holds no node storage");
+        assert_eq!(fresh.slots.capacity(), 0, "the slot table arrives with the first push");
+        for seed in 0..20u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut wheel = TimingWheel::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let (mut now, mut peak, mut migrated) = (0u64, 0usize, false);
+            for seq in 0..20_000u64 {
+                // Alternate filling and draining phases so freed nodes
+                // must be reused for the bound to hold.
+                let push_chance = if (seq / 1_000) % 2 == 0 { 0.7 } else { 0.3 };
+                if rng.chance(push_chance) {
+                    let at = match rng.below(10) {
+                        0..=6 => now + rng.below(64),
+                        7..=8 => now + rng.below(WHEEL_SLOTS as u64 * 3),
+                        _ => now + WHEEL_SLOTS as u64 + rng.below(1 << 16),
+                    };
+                    // The payload is the seq, so a reused node that kept
+                    // a stale item would show up as a mismatch.
+                    wheel.push(at, seq, seq);
+                    heap.push(Reverse((at, seq)));
+                    peak = peak.max(wheel.len());
+                } else {
+                    let overflow_before = wheel.overflow.len();
+                    let w = wheel.pop().map(|(at, seq, item)| {
+                        assert_eq!(item, seq, "seed {seed}: item parted from its seq");
+                        (at, seq)
+                    });
+                    assert_eq!(w, heap.pop().map(|Reverse(p)| p), "seed {seed} diverged");
+                    if let Some((at, _)) = w {
+                        now = at;
+                    }
+                    // Only a cursor advance shrinks the overflow map.
+                    migrated |= wheel.overflow.len() < overflow_before;
+                }
+                assert!(
+                    wheel.nodes.len() <= peak,
+                    "seed {seed}: {} nodes for a peak of {peak} pending events",
+                    wheel.nodes.len()
+                );
+            }
+            while let Some((at, seq, item)) = wheel.pop() {
+                assert_eq!(item, seq);
+                assert_eq!(Some((at, seq)), heap.pop().map(|Reverse(p)| p), "seed {seed}");
+            }
+            assert!(heap.is_empty());
+            assert!(wheel.nodes.len() <= peak);
+            assert!(now > 20 * WHEEL_SLOTS as u64, "seed {seed}: the run must wrap the slots");
+            assert!(migrated, "seed {seed}: the run must migrate overflow");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::trace::{DropReason, Trace, TraceEvent, TraceLevel, TraceRing};
 use crate::{ProcessId, TimerId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Blanket impl so heterogeneous networks can be built from boxed trait
 /// objects while the engine stays generic over a concrete process type.
@@ -304,10 +304,9 @@ impl<P: Process> SimBuilder<P> {
     ///
     /// A bounded ring makes trace cost independent of run length: pushes
     /// recycle ring slots and the [`RunOutcome`] materializes O(capacity)
-    /// events instead of the whole history. Campaign happy paths that
-    /// never read their traces run with a small capacity; a failure is
-    /// then replayed from its seed artifact with unbounded capture to
-    /// recover the full trace. Capacity `0` records nothing at all.
+    /// events instead of the whole history. Capacity `0` records nothing
+    /// at all; campaign runs use it, since no campaign check reads a
+    /// trace.
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);
         self
@@ -387,8 +386,7 @@ impl<P: Process> SimBuilder<P> {
         let crash_thresholds = (0..n)
             .map(|i| self.faults.event_crash_threshold(ProcessId(i)))
             .collect();
-        let mut metrics = MetricsRegistry::new();
-        let metric_ids = EngineMetrics::resolve(&mut metrics);
+        let (metrics, metric_ids) = EngineMetrics::template();
         let mut sim = Sim {
             processes: self.processes,
             adversary,
@@ -424,8 +422,8 @@ impl<P: Process> SimBuilder<P> {
             fifo_horizon: BTreeMap::new(),
             stats: RunStats::default(),
             trace: TraceRing::new(self.trace_level, self.trace_capacity),
-            metrics,
-            metric_ids,
+            metrics: metrics.clone(),
+            metric_ids: *metric_ids,
             pops: 0,
             queue_depth_every: self.queue_depth_every,
             scratch: Effects::default(),
@@ -446,8 +444,10 @@ impl<P: Process> SimBuilder<P> {
 }
 
 /// Pre-resolved [`MetricsRegistry`] handles for every metric the engine
-/// feeds, interned once in [`SimBuilder::build`] so the per-event paths
-/// update by slot index instead of a string-keyed map lookup.
+/// feeds, so the per-event paths update by slot index instead of a
+/// string-keyed map lookup. The names are interned once per process
+/// ([`EngineMetrics::template`]); a build clones the template registry,
+/// which copies value slots and shares the name index.
 #[derive(Debug, Clone, Copy)]
 struct EngineMetrics {
     events: CounterId,
@@ -481,6 +481,17 @@ struct EngineMetrics {
 }
 
 impl EngineMetrics {
+    /// A registry with every engine metric interned (all slots
+    /// untouched, so it reports nothing), and the handles into it.
+    fn template() -> &'static (MetricsRegistry, EngineMetrics) {
+        static TEMPLATE: OnceLock<(MetricsRegistry, EngineMetrics)> = OnceLock::new();
+        TEMPLATE.get_or_init(|| {
+            let mut metrics = MetricsRegistry::new();
+            let ids = EngineMetrics::resolve(&mut metrics);
+            (metrics, ids)
+        })
+    }
+
     fn resolve(metrics: &mut MetricsRegistry) -> Self {
         EngineMetrics {
             events: metrics.counter_id("events"),
