@@ -62,7 +62,8 @@ struct Node<T> {
 /// strictly ascending `(at, seq)` order — byte-identical to what a
 /// min-heap over `(at, seq)` would produce.
 pub(crate) struct TimingWheel<T> {
-    /// Every in-window event, whether linked into a bucket or free.
+    /// Node storage: the nodes linked into buckets hold the in-window
+    /// events, the rest are on the free list.
     nodes: Vec<Node<T>>,
     /// Head of the free list threaded through `nodes`.
     free: u32,
