@@ -463,6 +463,40 @@ mod tests {
     }
 
     #[test]
+    fn phase_king_replays_the_same_with_an_unbounded_round_cap() {
+        let art = |max_rounds| FailureArtifact {
+            algorithm: Algorithm::PhaseKing,
+            n: 7,
+            t: 2,
+            byzantine: Some(2),
+            attack: Some("equivocate".into()),
+            seed: 0,
+            inputs: vec![0, 1, 0, 1, 0],
+            max_rounds,
+            max_ticks: 0,
+            network: None,
+            faults: vec![],
+            adversary: AdversarySpec::None,
+            sabotage_commit_threshold: None,
+            storage_policy: None,
+            clock_rates: Vec::new(),
+            sync_latency: 0,
+            reliability: ReliabilityPolicy::Off,
+            stalled_since: None,
+            violation: None,
+        };
+        let bounded = run_artifact(&art(2 + 4));
+        let unbounded = run_artifact(&art(u64::MAX));
+        assert!(bounded.violations.is_empty(), "{:?}", bounded.violations);
+        assert_eq!(bounded.decided, 5);
+        assert_eq!(unbounded.decided, bounded.decided);
+        assert_eq!(unbounded.undecided, bounded.undecided);
+        assert_eq!(unbounded.messages, bounded.messages);
+        assert_eq!(unbounded.stop, bounded.stop);
+        assert_eq!(unbounded.violations, bounded.violations);
+    }
+
+    #[test]
     #[should_panic(expected = "crash-stop protocol")]
     fn phase_king_artifact_rejects_restarts() {
         let art = FailureArtifact {

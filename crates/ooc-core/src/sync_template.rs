@@ -48,6 +48,52 @@ enum SyncStage<D, S> {
     Halted,
 }
 
+/// Buffers one component reuses at every step: the step's inbox,
+/// filtered to the component's tag, and the step's sends.
+struct StepBuffers<M> {
+    inbox: Vec<(ProcessId, M)>,
+    outbox: Vec<(ProcessId, M)>,
+}
+
+impl<M: Clone> StepBuffers<M> {
+    fn new() -> Self {
+        StepBuffers {
+            inbox: Vec::new(),
+            outbox: Vec::new(),
+        }
+    }
+
+    /// Runs one object step: `step` reads the network messages that
+    /// `select` claims for the component, and its sends go to the engine
+    /// wrapped by `tag`. Returns the step's result and how many messages
+    /// it sent.
+    fn run<W: Clone, Out, T>(
+        &mut self,
+        inbox: &[(ProcessId, W)],
+        select: impl Fn(&W) -> Option<&M>,
+        tag: impl Fn(M) -> W,
+        ctx: &mut SyncContext<'_, W, Out>,
+        step: impl FnOnce(&[(ProcessId, M)], &mut SyncObjCtx<'_, M>) -> T,
+    ) -> (T, u64) {
+        self.inbox.clear();
+        self.inbox.extend(
+            inbox
+                .iter()
+                .filter_map(|(from, m)| select(m).map(|inner| (*from, inner.clone()))),
+        );
+        let result = {
+            let (me, n) = (ctx.me(), ctx.n());
+            let mut octx = SyncObjCtx::new(me, n, ctx.rng(), &mut self.outbox);
+            step(&self.inbox, &mut octx)
+        };
+        let sent = self.outbox.len() as u64;
+        for (to, inner) in self.outbox.drain(..) {
+            ctx.send(to, tag(inner));
+        }
+        (result, sent)
+    }
+}
+
 /// When the synchronous template records its decision.
 ///
 /// The paper's template decides at the detector's first `commit`
@@ -94,6 +140,15 @@ where
     phase_msgs: u64,
     /// The network round at which the current phase began.
     phase_started: u64,
+    /// Boxed, so that a process stays small beside a Byzantine node in a
+    /// node enum.
+    buffers: Box<ComponentBuffers<D::Msg, S::Msg>>,
+}
+
+/// The detector's and the conciliator's step buffers.
+struct ComponentBuffers<DM, SM> {
+    detect: StepBuffers<DM>,
+    shake: StepBuffers<SM>,
 }
 
 impl<D, S> SyncAcConsensus<D, S>
@@ -125,6 +180,10 @@ where
             decided_phase: None,
             phase_msgs: 0,
             phase_started: 0,
+            buffers: Box::new(ComponentBuffers {
+                detect: StepBuffers::new(),
+                shake: StepBuffers::new(),
+            }),
         }
     }
 
@@ -206,40 +265,22 @@ where
                 SyncStage::Halted => return,
                 SyncStage::Detect { mut obj, step } => {
                     let phase = self.phase;
-                    let filtered: Vec<(ProcessId, D::Msg)> = if step == 0 {
-                        Vec::new()
-                    } else {
-                        inbox
-                            .iter()
-                            .filter_map(|(from, m)| match m {
-                                SyncTemplateMsg::Detect {
-                                    phase: p,
-                                    step: s,
-                                    inner,
-                                } if *p == phase && *s == step - 1 => {
-                                    Some((*from, inner.clone()))
-                                }
-                                _ => None,
-                            })
-                            .collect()
-                    };
-                    let mut outbox = Vec::new();
-                    let outcome = {
-                        let (me, n) = (ctx.me(), ctx.n());
-                        let mut octx = SyncObjCtx::new(me, n, ctx.rng(), &mut outbox);
-                        obj.step(step, &self.v, &filtered, &mut octx)
-                    };
-                    for (to, inner) in outbox {
-                        self.phase_msgs += 1;
-                        ctx.send(
-                            to,
+                    // Step 0 reads nothing; step k reads its peers' step k − 1.
+                    let (outcome, sent) = self.buffers.detect.run(
+                        if step == 0 { &[] } else { inbox },
+                        |m| match m {
                             SyncTemplateMsg::Detect {
-                                phase,
-                                step,
+                                phase: p,
+                                step: s,
                                 inner,
-                            },
-                        );
-                    }
+                            } if *p == phase && *s == step - 1 => Some(inner),
+                            _ => None,
+                        },
+                        |inner| SyncTemplateMsg::Detect { phase, step, inner },
+                        ctx,
+                        |msgs, octx| obj.step(step, &self.v, msgs, octx),
+                    );
+                    self.phase_msgs += sent;
                     match outcome {
                         None => {
                             self.stage = SyncStage::Detect {
@@ -286,33 +327,21 @@ where
                     committed,
                 } => {
                     let phase = self.phase;
-                    let filtered: Vec<(ProcessId, S::Msg)> = if step == 0 {
-                        Vec::new()
-                    } else {
-                        inbox
-                            .iter()
-                            .filter_map(|(from, m)| match m {
-                                SyncTemplateMsg::Shake {
-                                    phase: p,
-                                    step: s,
-                                    inner,
-                                } if *p == phase && *s == step - 1 => {
-                                    Some((*from, inner.clone()))
-                                }
-                                _ => None,
-                            })
-                            .collect()
-                    };
-                    let mut outbox = Vec::new();
-                    let outcome = {
-                        let (me, n) = (ctx.me(), ctx.n());
-                        let mut octx = SyncObjCtx::new(me, n, ctx.rng(), &mut outbox);
-                        obj.step(step, &self.v, &filtered, &mut octx)
-                    };
-                    for (to, inner) in outbox {
-                        self.phase_msgs += 1;
-                        ctx.send(to, SyncTemplateMsg::Shake { phase, step, inner });
-                    }
+                    let (outcome, sent) = self.buffers.shake.run(
+                        if step == 0 { &[] } else { inbox },
+                        |m| match m {
+                            SyncTemplateMsg::Shake {
+                                phase: p,
+                                step: s,
+                                inner,
+                            } if *p == phase && *s == step - 1 => Some(inner),
+                            _ => None,
+                        },
+                        |inner| SyncTemplateMsg::Shake { phase, step, inner },
+                        ctx,
+                        |msgs, octx| obj.step(step, &self.v, msgs, octx),
+                    );
+                    self.phase_msgs += sent;
                     match outcome {
                         None => {
                             self.stage = SyncStage::Shake {

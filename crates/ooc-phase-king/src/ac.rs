@@ -20,7 +20,6 @@
 use ooc_core::confidence::AcOutcome;
 use ooc_core::sync_objects::{SyncObjCtx, SyncObject};
 use ooc_simnet::ProcessId;
-use std::collections::BTreeSet;
 
 /// The protocol-internal "no majority seen" marker.
 pub const NO_MAJORITY: u64 = 2;
@@ -49,20 +48,28 @@ impl PhaseKingAc {
             mid: NO_MAJORITY,
         }
     }
+}
 
-    /// Tallies one value per distinct sender (a Byzantine processor that
-    /// sends several messages in one exchange is counted once, and values
-    /// outside the domain are discarded).
-    fn tally(inbox: &[(ProcessId, u64)], domain: u64) -> Vec<usize> {
-        let mut counts = vec![0usize; domain as usize];
-        let mut seen = BTreeSet::new();
-        for &(from, value) in inbox {
-            if value < domain && seen.insert(from) {
+/// Tallies one value per distinct sender of an `n`-processor exchange:
+/// `counts[k]` is the number of senders whose first value in the domain
+/// `0..D` is `k`. A Byzantine processor that sends several messages in
+/// one exchange is counted once. A value outside the domain is discarded
+/// without marking its sender, so a later in-domain value from the same
+/// sender still counts. Senders are marked in a bitmap over the `n` ids,
+/// the tally's one allocation.
+pub(crate) fn tally<const D: usize>(inbox: &[(ProcessId, u64)], n: usize) -> [usize; D] {
+    let mut counts = [0usize; D];
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    for &(from, value) in inbox {
+        if value < D as u64 {
+            let (word, bit) = (from.index() / 64, 1u64 << (from.index() % 64));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
                 counts[value as usize] += 1;
             }
         }
-        counts
     }
+    counts
 }
 
 impl SyncObject for PhaseKingAc {
@@ -89,7 +96,7 @@ impl SyncObject for PhaseKingAc {
             }
             1 => {
                 // Exchange 1 tally; exchange 2 send.
-                let c = Self::tally(inbox, 2);
+                let c = tally::<2>(inbox, self.n);
                 self.mid = NO_MAJORITY;
                 for (k, &count) in c.iter().enumerate() {
                     if count >= self.n - self.t {
@@ -101,7 +108,7 @@ impl SyncObject for PhaseKingAc {
             }
             2 => {
                 // Exchange 2 tally; outcome.
-                let d = Self::tally(inbox, 3);
+                let d = tally::<3>(inbox, self.n);
                 let mut v = self.mid;
                 // `for k = 2 downto 0` — the last assignment wins, so the
                 // smallest k with D(k) > t prevails.
@@ -213,14 +220,16 @@ mod tests {
             (ProcessId(0), 1),
             (ProcessId(1), 0),
         ];
-        let c = PhaseKingAc::tally(&dup, 2);
-        assert_eq!(c, vec![1, 1]);
+        assert_eq!(tally::<2>(&dup, 7), [1, 1]);
     }
 
     #[test]
     fn out_of_domain_values_discarded() {
         let junk = vec![(ProcessId(0), 9u64), (ProcessId(1), 1)];
-        let c = PhaseKingAc::tally(&junk, 2);
-        assert_eq!(c, vec![0, 1]);
+        assert_eq!(tally::<2>(&junk, 7), [0, 1]);
+        // A sender's out-of-domain value does not use up its vote: its
+        // later in-domain value counts, once.
+        let late = vec![(ProcessId(2), 5u64), (ProcessId(2), 0), (ProcessId(2), 1)];
+        assert_eq!(tally::<2>(&late, 7), [1, 0]);
     }
 }

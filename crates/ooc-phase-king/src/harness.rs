@@ -267,7 +267,9 @@ pub fn run_phase_king_with_crashes(
     }
     let honest = cfg.honest_ids();
     sim.track_only(honest.iter().copied());
-    let out = sim.run(3 * cfg.max_phases + 3);
+    // Three rounds per phase plus slack. The bound saturates, so a huge
+    // `max_phases` runs until every honest processor decides.
+    let out = sim.run(cfg.max_phases.saturating_mul(3).saturating_add(3));
 
     let honest_histories: Vec<(ProcessId, Vec<RoundRecord<u64>>)> = honest
         .iter()

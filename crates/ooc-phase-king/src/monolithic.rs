@@ -7,9 +7,9 @@
 //! always runs all `t + 1` phases; the difference in decision rounds is
 //! part of what T2/T7 report.
 
+use crate::ac::tally;
 use crate::conciliator::king_of_phase;
 use ooc_simnet::{ProcessId, SyncContext, SyncProcess};
-use std::collections::BTreeSet;
 
 /// Classic Phase-King over values `{0, 1}` with `t` Byzantine processors,
 /// `3t < n`. Wire format: bare values (the synchronous engine's global
@@ -42,17 +42,6 @@ impl MonolithicPhaseKing {
     /// The processor's current value.
     pub fn value(&self) -> u64 {
         self.v
-    }
-
-    fn tally(inbox: &[(ProcessId, u64)], domain: u64) -> Vec<usize> {
-        let mut counts = vec![0usize; domain as usize];
-        let mut seen = BTreeSet::new();
-        for &(from, value) in inbox {
-            if value < domain && seen.insert(from) {
-                counts[value as usize] += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -94,7 +83,7 @@ impl SyncProcess for MonolithicPhaseKing {
             }
             1 => {
                 // Exchange 1 tally; exchange 2 send.
-                let c = Self::tally(inbox, 2);
+                let c = tally::<2>(inbox, self.n);
                 self.v = 2;
                 for (k, &count) in c.iter().enumerate() {
                     if count >= self.n - self.t {
@@ -105,7 +94,7 @@ impl SyncProcess for MonolithicPhaseKing {
             }
             _ => {
                 // Exchange 2 tally; king broadcast; end-of-protocol check.
-                let d = Self::tally(inbox, 3);
+                let d = tally::<3>(inbox, self.n);
                 for k in (0..=2u64).rev() {
                     if d[k as usize] > self.t {
                         self.v = k;

@@ -20,11 +20,11 @@
 //! Byzantine-unsound here, so [`phase_queen_process`] defaults to the
 //! classical decide-after-`t + 1`-phases rule.
 
+use crate::ac::tally;
 use ooc_core::confidence::AcOutcome;
 use ooc_core::sync_objects::{SyncObjCtx, SyncObject};
 use ooc_core::{SyncAcConsensus, SyncDecisionRule};
 use ooc_simnet::ProcessId;
-use std::collections::BTreeSet;
 
 /// The queen of phase `m` (1-based), rotating round-robin.
 pub fn queen_of_phase(phase: u64, n: usize) -> ProcessId {
@@ -47,17 +47,6 @@ impl PhaseQueenAc {
     pub fn new(n: usize, t: usize) -> Self {
         assert!(4 * t < n, "Phase-Queen requires 4t < n (got n={n}, t={t})");
         PhaseQueenAc { n, t }
-    }
-
-    fn tally(inbox: &[(ProcessId, u64)]) -> [usize; 2] {
-        let mut counts = [0usize; 2];
-        let mut seen = BTreeSet::new();
-        for &(from, value) in inbox {
-            if value < 2 && seen.insert(from) {
-                counts[value as usize] += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -83,7 +72,7 @@ impl SyncObject for PhaseQueenAc {
                 None
             }
             1 => {
-                let counts = Self::tally(inbox);
+                let counts = tally::<2>(inbox, self.n);
                 let maj = u64::from(counts[1] >= counts[0]);
                 let cnt = counts[maj as usize];
                 Some(if 2 * cnt > self.n + 2 * self.t {
@@ -387,7 +376,7 @@ mod tests {
             (ProcessId(1), 7),
             (ProcessId(2), 0),
         ];
-        assert_eq!(PhaseQueenAc::tally(&votes), [1, 1]);
+        assert_eq!(tally::<2>(&votes, 9), [1, 1]);
     }
 }
 

@@ -181,6 +181,11 @@ impl<O: PartialEq + Clone> SyncRunOutcome<O> {
 
 /// The lock-step synchronous engine.
 ///
+/// The engine keeps two sets of per-recipient inboxes and one outbox
+/// shared by all processes, and reuses them every round: it fills the
+/// next set from the outbox after each process's turn, then swaps the
+/// sets. In steady state a round allocates nothing.
+///
 /// ```
 /// use ooc_simnet::{SyncSim, SyncProcess, SyncContext, ProcessId};
 ///
@@ -209,7 +214,13 @@ impl<O: PartialEq + Clone> SyncRunOutcome<O> {
 pub struct SyncSim<P: SyncProcess> {
     processes: Vec<P>,
     rngs: Vec<SplitMix64>,
+    /// What each process reads this round: the messages sent to it in
+    /// the previous round, by sender id, then in send order.
     inboxes: Vec<Vec<(ProcessId, P::Msg)>>,
+    /// The set this round's sends go into; empty between rounds.
+    next_inboxes: Vec<Vec<(ProcessId, P::Msg)>>,
+    /// One process's sends, drained after its turn.
+    outbox: Vec<Outgoing<P::Msg>>,
     crashed: Vec<bool>,
     halted: Vec<bool>,
     decisions: Vec<Option<P::Output>>,
@@ -233,6 +244,8 @@ impl<P: SyncProcess> SyncSim<P> {
         SyncSim {
             rngs: (0..n).map(|i| master.derive(i as u64)).collect(),
             inboxes: vec![Vec::new(); n],
+            next_inboxes: vec![Vec::new(); n],
+            outbox: Vec::new(),
             crashed: vec![false; n],
             halted: vec![false; n],
             decisions: vec![None; n],
@@ -268,10 +281,11 @@ impl<P: SyncProcess> SyncSim<P> {
         &self.processes[id.index()]
     }
 
-    /// Runs (or resumes) for at most `max_rounds` additional rounds.
+    /// Runs (or resumes) for at most `max_rounds` additional rounds. The
+    /// bound saturates, so `u64::MAX` runs until the run stops by itself.
     pub fn run(&mut self, max_rounds: u64) -> SyncRunOutcome<P::Output> {
         let n = self.processes.len();
-        let end_round = self.round + max_rounds;
+        let end_round = self.round.saturating_add(max_rounds);
         let reason = loop {
             if self.all_tracked_decided() {
                 break SyncStopReason::AllDecided;
@@ -290,13 +304,10 @@ impl<P: SyncProcess> SyncSim<P> {
             if (0..n).all(|i| self.crashed[i] || self.halted[i]) {
                 break SyncStopReason::Quiescent;
             }
-            let mut next_inboxes: Vec<Vec<(ProcessId, P::Msg)>> = vec![Vec::new(); n];
             for i in 0..n {
                 if self.crashed[i] || self.halted[i] {
                     continue;
                 }
-                let inbox = std::mem::take(&mut self.inboxes[i]);
-                let mut outbox = Vec::new();
                 let mut decision = None;
                 let mut halted = false;
                 {
@@ -305,15 +316,15 @@ impl<P: SyncProcess> SyncSim<P> {
                         n,
                         round: self.round,
                         rng: &mut self.rngs[i],
-                        outbox: &mut outbox,
+                        outbox: &mut self.outbox,
                         decision: &mut decision,
                         halted: &mut halted,
                     };
-                    self.processes[i].on_round(self.round, &inbox, &mut ctx);
+                    self.processes[i].on_round(self.round, &self.inboxes[i], &mut ctx);
                 }
-                for out in outbox {
+                for out in self.outbox.drain(..) {
                     self.messages_sent += 1;
-                    next_inboxes[out.to.index()].push((ProcessId(i), out.msg.into_msg()));
+                    self.next_inboxes[out.to.index()].push((ProcessId(i), out.msg.into_msg()));
                 }
                 if let Some(v) = decision {
                     if self.decisions[i].is_none() {
@@ -325,7 +336,13 @@ impl<P: SyncProcess> SyncSim<P> {
                     self.halted[i] = true;
                 }
             }
-            self.inboxes = next_inboxes;
+            // This round's sends become next round's inboxes. The set
+            // just read is emptied now, which also drops the messages
+            // sent to crashed or halted recipients.
+            std::mem::swap(&mut self.inboxes, &mut self.next_inboxes);
+            for inbox in &mut self.next_inboxes {
+                inbox.clear();
+            }
             self.round += 1;
         };
         SyncRunOutcome {
@@ -445,6 +462,108 @@ mod tests {
             sim.run(10).messages_sent
         };
         assert_eq!(run(5), run(5));
+    }
+
+    /// Round `r`'s sends of process `i`, in send order: one message to
+    /// each of a subset of recipients that changes every round, then a
+    /// second message to one of them.
+    fn logged_sends(r: u64, i: usize, n: usize) -> Vec<(usize, u64)> {
+        let mut sends: Vec<(usize, u64)> = (0..n)
+            .filter(|&j| !(r as usize + i + j).is_multiple_of(3))
+            .map(|j| (j, r * 1000 + i as u64 * 100 + j as u64 * 10))
+            .collect();
+        if let Some(&(j, payload)) = sends.first() {
+            sends.push((j, payload + 1));
+        }
+        sends
+    }
+
+    /// Logs `(round, from, payload)` for every inbox entry and sends
+    /// [`logged_sends`]; halts after round `halt_at`.
+    #[derive(Debug)]
+    struct Logger {
+        log: Vec<(u64, ProcessId, u64)>,
+        halt_at: Option<u64>,
+    }
+    impl SyncProcess for Logger {
+        type Msg = u64;
+        type Output = ();
+        fn on_round(
+            &mut self,
+            r: u64,
+            inbox: &[(ProcessId, u64)],
+            ctx: &mut SyncContext<'_, u64, ()>,
+        ) {
+            self.log.extend(inbox.iter().map(|&(from, m)| (r, from, m)));
+            for (to, m) in logged_sends(r, ctx.me().index(), ctx.n()) {
+                ctx.send(ProcessId(to), m);
+            }
+            if self.halt_at == Some(r) {
+                ctx.halt();
+            }
+        }
+    }
+
+    #[test]
+    fn inboxes_hold_exactly_the_previous_rounds_sends() {
+        const N: usize = 5;
+        const ROUNDS: u64 = 9;
+        // p2 halts after round 3 and p4 crashes from round 2 on, so the
+        // inboxes of both fill but go unread.
+        let halt_at = |i: usize| (i == 2).then_some(3);
+        let crash_at = |i: usize| if i == 4 { 2 } else { u64::MAX };
+        let mut sim = SyncSim::new(
+            (0..N).map(|i| Logger {
+                log: Vec::new(),
+                halt_at: halt_at(i),
+            }),
+            1,
+        );
+        sim.crash_at_round(ProcessId(4), 2);
+        let out = sim.run(ROUNDS);
+        assert_eq!(out.reason, SyncStopReason::RoundLimit);
+        let ran = |i: usize, r: u64| r < crash_at(i) && halt_at(i).is_none_or(|h| r <= h);
+        for p in 0..N {
+            let mut expected = Vec::new();
+            for r in (1..ROUNDS).filter(|&r| ran(p, r)) {
+                for i in (0..N).filter(|&i| ran(i, r - 1)) {
+                    for (to, m) in logged_sends(r - 1, i, N) {
+                        if to == p {
+                            expected.push((r, ProcessId(i), m));
+                        }
+                    }
+                }
+            }
+            assert_eq!(sim.process(ProcessId(p)).log, expected, "p{p}'s inboxes");
+        }
+    }
+
+    #[test]
+    fn unbounded_resume_does_not_overflow() {
+        /// Decides in round 5.
+        #[derive(Debug)]
+        struct DecideAtFive;
+        impl SyncProcess for DecideAtFive {
+            type Msg = ();
+            type Output = u64;
+            fn on_round(
+                &mut self,
+                r: u64,
+                _i: &[(ProcessId, ())],
+                ctx: &mut SyncContext<'_, (), u64>,
+            ) {
+                ctx.broadcast(());
+                if r == 5 {
+                    ctx.decide(r);
+                }
+            }
+        }
+        let mut sim = SyncSim::new(vec![DecideAtFive, DecideAtFive], 1);
+        assert_eq!(sim.run(2).reason, SyncStopReason::RoundLimit);
+        let out = sim.run(u64::MAX);
+        assert_eq!(out.reason, SyncStopReason::AllDecided);
+        assert_eq!(out.rounds, 6);
+        assert_eq!(out.decisions, vec![Some(5); 2]);
     }
 
     #[test]
