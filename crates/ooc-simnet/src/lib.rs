@@ -53,6 +53,7 @@
 pub mod adversary;
 pub mod byzantine;
 pub mod fault;
+pub mod json;
 pub mod metrics;
 pub mod network;
 pub mod process;
@@ -73,6 +74,7 @@ pub use adversary::{Adversary, Decision, FnAdversary, NetworkAdversary, SwitchAf
 pub use byzantine::{ByzantineNode, SyncStrategy};
 pub use fault::{CrashSpec, FaultPlan};
 pub use id::{ProcessId, TimerId};
+pub use json::{Json, JsonError};
 pub use metrics::{CounterId, HistogramId, MetricsRegistry, TickHistogram};
 pub use network::{DelayModel, FlappingPartition, LinkOverride, NetworkConfig, PartitionWindow};
 pub use process::{Context, Process, ProtocolObservation};
