@@ -1,6 +1,5 @@
 //! Confidence levels and object outcomes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three confidence levels of a vacillate-adopt-commit object
@@ -9,7 +8,7 @@ use std::fmt;
 /// * `Commit` — the system has agreed; it is safe to decide.
 /// * `Adopt` — some processors may have agreed on this value; keep it.
 /// * `Vacillate` — the system is undecided; consult the reconciliator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Confidence {
     /// No guarantee about other processors (except that nobody committed).
     Vacillate,
@@ -33,7 +32,7 @@ impl fmt::Display for Confidence {
 
 /// The two confidence levels of a classical adopt-commit object
 /// (Gafni '98), ordered `Adopt < Commit`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AcConfidence {
     /// The value may not be agreed; carry it to the next round.
     Adopt,
@@ -65,7 +64,7 @@ impl From<AcConfidence> for Confidence {
 
 /// The result of a vacillate-adopt-commit invocation: a confidence level
 /// and a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VacOutcome<V> {
     /// Confidence level `X`.
     pub confidence: Confidence,
@@ -119,7 +118,7 @@ impl<V: fmt::Display> fmt::Display for VacOutcome<V> {
 }
 
 /// The result of an adopt-commit invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AcOutcome<V> {
     /// Confidence level.
     pub confidence: AcConfidence,

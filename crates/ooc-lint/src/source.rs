@@ -147,8 +147,7 @@ impl Workspace {
 
     /// Scans the real workspace at `root`: the root package's `src/`,
     /// `tests/` and `examples/`, plus every `crates/*/{src,tests,benches,examples}`.
-    /// `vendor/` (offline stand-ins for external crates) and `target/` are
-    /// never scanned.
+    /// Nothing else, `target/` included, is scanned.
     pub fn scan(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
         let mut paths: Vec<(PathBuf, String)> = Vec::new();

@@ -1,83 +1,85 @@
 //! Property-based sweeps over the Berman-Garay-Perry family: random
 //! `(n, t)`, honest inputs, attacks and seeds; Phase-King and Phase-Queen
-//! must be violation-free whenever their resilience bounds hold.
+//! must be violation-free whenever their resilience bounds hold. Each
+//! property runs 40 seeded cases through `ooc_core::testkit::cases`.
 
+use ooc_core::testkit::cases;
 use ooc_phase_king::{run_phase_king, run_phase_queen, Attack, PhaseKingConfig};
-use proptest::prelude::*;
+use ooc_simnet::SplitMix64;
 
-fn attacks() -> impl Strategy<Value = Attack> {
-    prop_oneof![
-        Just(Attack::Silent),
-        Just(Attack::Fixed(0)),
-        Just(Attack::Fixed(1)),
-        Just(Attack::Fixed(2)),
-        Just(Attack::Equivocate),
-        Just(Attack::Random),
-    ]
+const CASES: usize = 40;
+
+/// One of the six attacks, uniformly.
+fn attack(rng: &mut SplitMix64) -> Attack {
+    [
+        Attack::Silent,
+        Attack::Fixed(0),
+        Attack::Fixed(1),
+        Attack::Fixed(2),
+        Attack::Equivocate,
+        Attack::Random,
+    ][rng.below(6) as usize]
 }
 
-/// `(n, t)` with `3t < n` and at least one Byzantine.
-fn king_params() -> impl Strategy<Value = (usize, usize)> {
-    (4usize..=13).prop_flat_map(|n| {
-        let t_max = (n - 1) / 3;
-        (Just(n), 1..=t_max.max(1))
-    })
+/// `(n, t)` with `n` in `lo..=13` and `t` in `1..=max((n - 1) / d, 1)`.
+fn params(rng: &mut SplitMix64, lo: u64, d: usize) -> (usize, usize) {
+    let n = rng.range_inclusive(lo, 13) as usize;
+    let t_max = ((n - 1) / d).max(1);
+    (n, rng.range_inclusive(1, t_max as u64) as usize)
 }
 
-/// `(n, t)` with `4t < n` and at least one Byzantine.
-fn queen_params() -> impl Strategy<Value = (usize, usize)> {
-    (5usize..=13).prop_flat_map(|n| {
-        let t_max = (n - 1) / 4;
-        (Just(n), 1..=t_max.max(1))
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    #[test]
-    fn phase_king_is_violation_free(
-        (n, t) in king_params(),
-        attack in attacks(),
-        seed in 0u64..500,
-        input_bits in any::<u64>(),
-    ) {
-        prop_assume!(3 * t < n);
+#[test]
+fn phase_king_is_violation_free() {
+    cases(1, CASES, |rng| {
+        let (n, t) = params(rng, 4, 3);
+        let attack = attack(rng);
+        let seed = rng.below(500);
+        let input_bits = rng.next_u64();
+        if 3 * t >= n {
+            return false;
+        }
         let inputs: Vec<u64> = (0..n - t).map(|i| (input_bits >> i) & 1).collect();
         let cfg = PhaseKingConfig::new(n, t).with_attack(attack);
         let run = run_phase_king(&cfg, &inputs, seed);
-        prop_assert!(run.violations.is_empty(), "{:?}", run.violations);
-    }
+        assert!(run.violations.is_empty(), "{:?}", run.violations);
+        true
+    });
+}
 
-    #[test]
-    fn phase_queen_is_violation_free(
-        (n, t) in queen_params(),
-        attack in attacks(),
-        seed in 0u64..500,
-        input_bits in any::<u64>(),
-    ) {
-        prop_assume!(4 * t < n);
+#[test]
+fn phase_queen_is_violation_free() {
+    cases(2, CASES, |rng| {
+        let (n, t) = params(rng, 5, 4);
+        let attack = attack(rng);
+        let seed = rng.below(500);
+        let input_bits = rng.next_u64();
+        if 4 * t >= n {
+            return false;
+        }
         let inputs: Vec<u64> = (0..n - t).map(|i| (input_bits >> i) & 1).collect();
         let run = run_phase_queen(n, t, attack, &inputs, seed);
-        prop_assert!(run.violations.is_empty(), "{:?}", run.violations);
-    }
+        assert!(run.violations.is_empty(), "{:?}", run.violations);
+        true
+    });
+}
 
-    /// Unanimity validity, jointly: whatever the attack, honest unanimity
-    /// must carry through both algorithms.
-    #[test]
-    fn unanimity_is_sticky_for_both(
-        attack in attacks(),
-        v in 0u64..2,
-        seed in 0u64..200,
-    ) {
+/// Unanimity validity, jointly: whatever the attack, honest unanimity
+/// must carry through both algorithms.
+#[test]
+fn unanimity_is_sticky_for_both() {
+    cases(3, CASES, |rng| {
+        let attack = attack(rng);
+        let v = rng.below(2);
+        let seed = rng.below(200);
         let cfg = PhaseKingConfig::new(7, 2).with_attack(attack);
         let king = run_phase_king(&cfg, &[v; 5], seed);
         for p in &king.honest {
-            prop_assert_eq!(king.decisions[p.index()], Some(v));
+            assert_eq!(king.decisions[p.index()], Some(v));
         }
         let queen = run_phase_queen(9, 2, attack, &[v; 7], seed);
         for p in &queen.honest {
-            prop_assert_eq!(queen.decisions[p.index()], Some(v));
+            assert_eq!(queen.decisions[p.index()], Some(v));
         }
-    }
+        true
+    });
 }

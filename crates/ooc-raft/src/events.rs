@@ -7,10 +7,9 @@
 use crate::types::{LogIndex, Term};
 use ooc_core::Confidence;
 use ooc_simnet::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// One observable step of a node's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RaftEvent {
     /// The node converted to candidate and started an election —
     /// in the paper's decomposition, this *is* the reconciliator

@@ -2,11 +2,10 @@
 //! relies on.
 
 use crate::types::{LogEntry, LogIndex, Term};
-use serde::{Deserialize, Serialize};
 
 /// An indexed list of [`LogEntry`]s, 1-based as in the paper
 /// ("indexed continuously from 1, i.e., 1, 2, 3, …").
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RaftLog {
     entries: Vec<LogEntry>,
 }

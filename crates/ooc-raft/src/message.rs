@@ -9,10 +9,9 @@
 
 use crate::types::{LogEntry, LogIndex, Term};
 use ooc_simnet::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// `RequestVote[term, candidateId, lastLogIndex, lastLogTerm]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestVote {
     /// The candidate's term.
     pub term: Term,
@@ -25,7 +24,7 @@ pub struct RequestVote {
 }
 
 /// `ack_RequestVote[term, voteGranted]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckRequestVote {
     /// The responder's current term.
     pub term: Term,
@@ -38,7 +37,7 @@ pub struct AckRequestVote {
 ///
 /// The paper's "first kind" carries entries; the "second kind" carries
 /// none and only moves the commit index (§4.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppendEntries {
     /// The leader's term.
     pub term: Term,
@@ -64,7 +63,7 @@ impl AppendEntries {
 
 /// `ack_AppendEntries[term, success]` (+ the confirmed `match_index`, see
 /// the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckAppendEntries {
     /// The responder's current term.
     pub term: Term,
@@ -76,7 +75,7 @@ pub struct AckAppendEntries {
 }
 
 /// The Raft message union used on the simulated network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RaftMsg {
     /// A vote solicitation.
     RequestVote(RequestVote),

@@ -3,10 +3,9 @@
 use crate::log::RaftLog;
 use crate::types::{LogIndex, Term};
 use ooc_simnet::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// `State` — one of follower, candidate or leader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Role {
     /// Passive replica; fields `NextIndex`/`MatchIndex` do not apply.
     #[default]
@@ -22,7 +21,7 @@ pub enum Role {
 /// [`durable`](crate::durable) codecs on every mutation and rebuilds it
 /// from whatever survived on restart; how much survives is the
 /// [`StoragePolicy`](ooc_simnet::StoragePolicy)'s call.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PersistentState {
     /// `CurrentTerm`.
     pub current_term: Term,
@@ -33,7 +32,7 @@ pub struct PersistentState {
 }
 
 /// State lost on a crash.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VolatileState {
     /// `CommitIndex` — all commands up to and including it may be applied.
     pub commit_index: LogIndex,
@@ -45,7 +44,7 @@ pub struct VolatileState {
 
 /// Leader-only bookkeeping (paper: "applies only while leader", rebuilt at
 /// every election).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LeaderState {
     /// `NextIndex[]` — next log index to send to each processor.
     /// Initialized after election to the leader's last log entry + 1.

@@ -1,12 +1,9 @@
 //! Core Raft value types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Raft term (the paper maps terms to template rounds, §4.3).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Term(pub u64);
 
 impl Term {
@@ -26,9 +23,7 @@ impl fmt::Display for Term {
 }
 
 /// A 1-based log index; `LogIndex(0)` means "before the first entry".
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LogIndex(pub u64);
 
 impl LogIndex {
@@ -58,7 +53,7 @@ impl fmt::Display for LogIndex {
 /// Applying it makes the state machine decide `v` and ignore every later
 /// command, so each processor decides the value of the **first** entry in
 /// its log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecideAndStop(pub u64);
 
 impl fmt::Display for DecideAndStop {
@@ -68,7 +63,7 @@ impl fmt::Display for DecideAndStop {
 }
 
 /// One log entry: a command plus the term in which the leader received it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LogEntry {
     /// The term the entry was created in.
     pub term: Term,

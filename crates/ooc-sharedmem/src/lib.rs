@@ -20,7 +20,7 @@
 //!   reconciliator) in shared memory.
 //!
 //! Unlike the simulator crates, executions here are genuinely concurrent
-//! (threads + `parking_lot` locks), so tests assert safety on every
+//! (threads + `std::sync` locks), so tests assert safety on every
 //! observed execution rather than replaying a seed.
 //!
 //! ## Quick start

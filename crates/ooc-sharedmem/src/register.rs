@@ -1,13 +1,14 @@
 //! Linearizable registers and collects.
 
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 /// A multi-writer multi-reader atomic register.
 ///
-/// A `parking_lot::RwLock` around a value is linearizable (each read and
+/// A `std::sync::RwLock` around a value is linearizable (each read and
 /// write is a critical section), which is all the theory asks of an
 /// atomic register; the algorithms built on top are what this crate is
-/// about.
+/// about. A lock poisoned by a panicking thread still yields its value:
+/// a register has no invariant a half-finished write could break.
 #[derive(Debug, Default)]
 pub struct AtomicRegister<T> {
     cell: RwLock<Option<T>>,
@@ -23,19 +24,22 @@ impl<T: Clone> AtomicRegister<T> {
 
     /// Reads the register (`None` = `⊥`).
     pub fn read(&self) -> Option<T> {
-        self.cell.read().clone()
+        self.cell
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Writes the register.
     pub fn write(&self, value: T) {
-        *self.cell.write() = Some(value);
+        *self.cell.write().unwrap_or_else(PoisonError::into_inner) = Some(value);
     }
 
     /// Writes only if the register still holds `⊥`; returns the winner's
     /// value either way. (A convenience for conciliator tests; not used
     /// by the register-only algorithms.)
     pub fn write_if_empty(&self, value: T) -> T {
-        let mut cell = self.cell.write();
+        let mut cell = self.cell.write().unwrap_or_else(PoisonError::into_inner);
         match &*cell {
             Some(v) => v.clone(),
             None => {

@@ -2,10 +2,9 @@
 
 use crate::time::SimTime;
 use crate::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// When a process should crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSpec {
     /// Crash at the given simulated instant.
     AtTime(SimTime),
@@ -35,7 +34,7 @@ pub enum CrashSpec {
 ///     .restart_at(ProcessId(2), SimTime::from_ticks(200));
 /// assert_eq!(plan.crashes().len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     crashes: Vec<(ProcessId, CrashSpec)>,
     restarts: Vec<(ProcessId, SimTime)>,

@@ -1,12 +1,11 @@
 //! Identifier newtypes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a process in a simulated network.
 ///
 /// Processes are numbered densely from `0` to `n - 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub usize);
 
 impl ProcessId {
@@ -31,7 +30,7 @@ impl From<usize> for ProcessId {
 /// Handle for a pending timer, returned by [`Context::set_timer`].
 ///
 /// [`Context::set_timer`]: crate::Context::set_timer
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub u64);
 
 impl fmt::Display for TimerId {

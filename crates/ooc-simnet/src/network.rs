@@ -3,7 +3,6 @@
 use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
 use crate::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// How message transit delays are sampled.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// `Fixed(1)`, and `Uniform` clamps each bound to ≥ 1 (so
 /// `min: 0, max: 0` also yields 1-tick delays), exactly as
 /// `Exponential` rounds up to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelayModel {
     /// Every message takes exactly this many ticks (floored to 1; see
     /// the [causality floor](DelayModel#causality-floor)).
@@ -123,7 +122,7 @@ impl Default for DelayModel {
 
 /// A window of simulated time during which the network is partitioned into
 /// disjoint groups; messages between different groups are dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionWindow {
     /// Window start (inclusive).
     pub from: SimTime,
@@ -160,7 +159,7 @@ impl PartitionWindow {
 /// Campaigns derive the cadence deterministically from the run RNG via
 /// [`FlappingPartition::from_rng`], so a flap schedule is part of the run's
 /// seed identity rather than a hand-picked constant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlappingPartition {
     /// First tick (inclusive) at which flapping may occur.
     pub from: SimTime,
@@ -229,7 +228,7 @@ impl FlappingPartition {
 /// A field left as `None` falls back to the corresponding global
 /// [`NetworkConfig`] knob. When several overrides match the same link the
 /// last one wins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkOverride {
     /// Sender side of the directed link.
     pub from: ProcessId,
@@ -245,7 +244,7 @@ pub struct LinkOverride {
 ///
 /// The default configuration is a reliable network with uniform 1–10 tick
 /// delays and instantaneous self-delivery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Transit delay distribution for messages between distinct processes.
     pub delay: DelayModel,
@@ -262,10 +261,8 @@ pub struct NetworkConfig {
     /// Scheduled partitions.
     pub partitions: Vec<PartitionWindow>,
     /// Per-directed-link loss/delay overrides (asymmetric gray failures).
-    #[serde(default)]
     pub link_overrides: Vec<LinkOverride>,
     /// Periodic partition/heal windows (flapping gray failures).
-    #[serde(default)]
     pub flapping: Vec<FlappingPartition>,
 }
 

@@ -1,11 +1,9 @@
 //! Deterministic random number generation.
 //!
-//! The simulator must be bit-for-bit reproducible across platforms and
-//! across versions of the `rand` crate, so it carries its own tiny PRNG,
-//! [`SplitMix64`], and exposes it through [`rand::RngCore`] so the whole
-//! `rand` combinator toolbox still applies.
-
-use rand::{Error, RngCore, SeedableRng};
+//! The simulator must be bit-for-bit reproducible across platforms, so it
+//! carries its own tiny PRNG, [`SplitMix64`], whose inherent methods
+//! (`next_u64`, `below`, `range_inclusive`, `chance`, `coin`) are every
+//! draw the workspace makes.
 
 /// A [SplitMix64](https://prng.di.unimi.it/splitmix64.c) pseudo-random
 /// generator.
@@ -15,10 +13,9 @@ use rand::{Error, RngCore, SeedableRng};
 ///
 /// ```
 /// use ooc_simnet::SplitMix64;
-/// use rand::Rng;
 /// let mut a = SplitMix64::new(42);
 /// let mut b = SplitMix64::new(42);
-/// assert_eq!(a.gen::<u64>(), b.gen::<u64>()); // fully deterministic
+/// assert_eq!(a.next_u64(), b.next_u64()); // fully deterministic
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -99,40 +96,6 @@ impl SplitMix64 {
     }
 }
 
-impl RngCore for SplitMix64 {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SplitMix64::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SplitMix64 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        SplitMix64::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        SplitMix64::new(state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,20 +173,5 @@ mod tests {
         let ones: u64 = (0..100_000).map(|_| rng.coin()).sum();
         let frac = ones as f64 / 100_000.0;
         assert!((frac - 0.5).abs() < 0.01, "got {frac}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SplitMix64::new(17);
-        let mut buf = [0u8; 11];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn seedable_rng_roundtrip() {
-        let mut a = SplitMix64::seed_from_u64(21);
-        let mut b = SplitMix64::new(21);
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 }

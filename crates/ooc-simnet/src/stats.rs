@@ -1,10 +1,9 @@
 //! Aggregate run statistics.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Counters accumulated over a run, independent of the trace level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Messages handed to the network (one per recipient; a broadcast to
     /// `n` processes counts `n`).

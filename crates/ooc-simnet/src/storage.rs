@@ -32,11 +32,10 @@
 //! byte-identity contract.
 
 use crate::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// What a crash does to the unsynced (and, for `Amnesia`, synced)
 /// contents of a process's [`StableStore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StoragePolicy {
     /// Every write is durable the moment it is applied; crashes lose
     /// nothing. The default.
@@ -82,7 +81,7 @@ impl StoragePolicy {
 }
 
 /// One persisted key/value record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageRecord {
     /// The record's key. Later records for the same key shadow earlier
     /// ones on lookup; recovery code scanning in reverse sees the newest
@@ -212,14 +211,12 @@ impl StableStore {
 /// assert_eq!(plan.policy_for(ProcessId(2)), StoragePolicy::Amnesia);
 /// assert_eq!(plan.policy_for(ProcessId(0)), StoragePolicy::SyncAlways);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageFaultPlan {
     default_policy: StoragePolicy,
     overrides: Vec<(ProcessId, StoragePolicy)>,
     /// Slow-disk injection: ticks a `sync()` stalls the issuing process.
-    #[serde(default)]
     default_sync_latency: u64,
-    #[serde(default)]
     latency_overrides: Vec<(ProcessId, u64)>,
 }
 

@@ -6,7 +6,6 @@
 //! [`SimDuration`]).
 
 use crate::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
@@ -17,11 +16,11 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// let t = SimTime::ZERO + SimDuration::from_ticks(5);
 /// assert_eq!(t.ticks(), 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -96,7 +95,7 @@ impl SimDuration {
 /// assert_eq!(clocks.scale(ProcessId(0), d).ticks(), 10);
 /// assert_eq!(clocks.scale(ProcessId(1), d).ticks(), 15);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockModel {
     /// Rate applied to processes without an explicit override.
     default_rate_percent: u32,
