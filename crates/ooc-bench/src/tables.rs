@@ -15,7 +15,7 @@ use ooc_raft::decentralized::{coin_flip_twin, decentralized_raft};
 use ooc_raft::harness::{run_raft, RaftClusterConfig};
 use ooc_raft::RaftConfig;
 use ooc_sharedmem::{RegisterAc, SharedConsensus};
-use ooc_simnet::{FaultPlan, NetworkConfig, RunLimit, Sim, SimTime};
+use ooc_simnet::{FaultPlan, Json, NetworkConfig, RunLimit, Sim, SimTime};
 use std::sync::Arc;
 // ooc-lint::allow(determinism/wall-clock, "throughput benchmarks time real execution by design")
 use std::time::Instant;
@@ -1064,16 +1064,17 @@ pub fn t17() -> Vec<(String, u64)> {
 
 /// Serializes T11/T12/T14/T15/T16/T17 rows as the `BENCH_ooc.json`
 /// document: a schema tag plus `{name, value}` metric records, in row
-/// order. Deterministic because the rows are.
+/// order. Deterministic because the rows are. The one-row-per-line
+/// layout is the committed snapshot's, so rows are written here and only
+/// the names go through [`Json`].
 pub fn bench_json(rows: &[(String, u64)]) -> String {
     let mut out = String::from("{\n  \"schema\": \"ooc-bench/v1\",\n  \"source\": \"tables t11 t12 t14 t15 t16 t17\",\n  \"metrics\": [");
     for (i, (name, value)) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        // Metric names are plain ASCII identifiers; `{name:?}` quotes
-        // and escapes them JSON-compatibly.
-        out.push_str(&format!("\n    {{ \"name\": {name:?}, \"value\": {value} }}"));
+        let name = Json::Str(name.clone()).compact();
+        out.push_str(&format!("\n    {{ \"name\": {name}, \"value\": {value} }}"));
     }
     out.push_str("\n  ]\n}\n");
     out

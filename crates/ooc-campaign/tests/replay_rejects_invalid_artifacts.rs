@@ -154,6 +154,18 @@ fn replay_exits_2_on_artifacts_that_cannot_run() {
         let text = a.to_string_pretty().replace("424242", "\"x\"");
         texts.push((name, text, "group member must be a process id"));
     }
+    // A probability beyond f64 once parsed as infinity and ran with
+    // every message dropped; nesting once recursed until the stack
+    // overflowed.
+    let text = gray().to_string_pretty();
+    let overflow = text.replacen(
+        "\"drop_probability\": 0.0",
+        "\"drop_probability\": 1e999",
+        1,
+    );
+    assert_ne!(overflow, text, "the gray artifact has a drop probability");
+    texts.push(("drop-probability-overflow", overflow, "number out of range"));
+    texts.push(("deep-nesting", "[".repeat(100_000), "nesting"));
 
     let dir = std::env::temp_dir().join(format!("ooc-replay-invalid-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");

@@ -32,6 +32,7 @@
 //! template (as the engine does at every build) shares the template's
 //! index until it interns a name the template lacks.
 
+use crate::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -159,20 +160,6 @@ impl TickHistogram {
         }
         Some(self.max)
     }
-
-    /// Renders as a deterministic JSON object fragment.
-    fn write_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            self.count,
-            self.sum,
-            self.min().unwrap_or(0),
-            self.max().unwrap_or(0),
-            self.quantile(0.50).unwrap_or(0),
-            self.quantile(0.95).unwrap_or(0),
-            self.quantile(0.99).unwrap_or(0),
-        ));
-    }
 }
 
 /// A pre-resolved handle to a counter slot, obtained from
@@ -291,27 +278,27 @@ impl MetricsRegistry {
     /// `{"counters":{...},"histograms":{...}}` with keys in name order.
     /// Interned-but-untouched slots are omitted.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        let mut first = true;
-        for (name, value) in self.counters() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":{}", name, value));
-        }
-        out.push_str("},\"histograms\":{");
-        let mut first = true;
-        for (name, hist) in self.histograms() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":", name));
-            hist.write_json(&mut out);
-        }
-        out.push_str("}}");
-        out
+        let counters = self
+            .counters()
+            .map(|(name, value)| (name.to_string(), Json::U64(value)));
+        let histograms = self.histograms().map(|(name, h)| {
+            let fields = [
+                ("count", h.count()),
+                ("sum", h.sum()),
+                ("min", h.min().unwrap_or(0)),
+                ("max", h.max().unwrap_or(0)),
+                ("p50", h.quantile(0.50).unwrap_or(0)),
+                ("p95", h.quantile(0.95).unwrap_or(0)),
+                ("p99", h.quantile(0.99).unwrap_or(0)),
+            ];
+            let fields = fields.map(|(k, v)| (k.to_string(), Json::U64(v)));
+            (name.to_string(), Json::Obj(fields.into()))
+        });
+        Json::Obj(vec![
+            ("counters".into(), Json::Obj(counters.collect())),
+            ("histograms".into(), Json::Obj(histograms.collect())),
+        ])
+        .compact()
     }
 }
 
