@@ -227,8 +227,14 @@ impl<M> StateAdversary<M> for VoteSplitStateAdversary {
 /// that camp could assemble a quorum, drops the messages addressed to it —
 /// then heals for the rest of the flap cycle.
 ///
-/// The flap cadence makes this a *gray* failure: progress happens during
-/// heal windows, so runs limp rather than halt. Bounded by `until` like
+/// The flap cadence makes this a *gray* failure, but only a sender that
+/// retries can use the heal windows. Under
+/// [`ReliabilityPolicy::Retransmit`](crate::ReliabilityPolicy::Retransmit)
+/// a wiped copy is retransmitted until one lands in a heal window, so
+/// runs limp rather than halt. On a fire-and-forget network a wiped
+/// burst is gone, and a protocol without timers halts: timer-free
+/// Ben-Or stalls in all 24 runs of every T14 quorum-starve cell, and in
+/// none of them under T17's retransmission. Bounded by `until` like
 /// every campaign attack.
 #[derive(Debug, Clone)]
 pub struct QuorumStarveAdversary {
