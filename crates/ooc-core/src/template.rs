@@ -23,6 +23,7 @@ use crate::objects::{AcObject, ConciliatorObject, ObjectNet, ReconciliatorObject
 use ooc_simnet::{
     Context, Process, ProcessId, ProtocolObservation, SimDuration, SimTime, SplitMix64, TimerId,
 };
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::{self, Debug};
 
@@ -585,6 +586,7 @@ where
 impl<D, S> Process for Template<D, S>
 where
     D: VacObject,
+    D::Value: 'static,
     S: ReconciliatorObject<Value = D::Value>,
 {
     type Msg = TemplateMsg<D::Msg, S::Msg>;
@@ -608,9 +610,9 @@ where
     }
 
     fn observe(&self) -> ProtocolObservation {
-        // Values are generic, but the paper's binary instantiations all
-        // Debug-print as `true`/`false`; anything else observes as None,
-        // which state adversaries treat as "preference unknown".
+        // Values are generic, but the paper's binary instantiations are
+        // bools; any other type observes as None, which state adversaries
+        // treat as "preference unknown".
         ProtocolObservation {
             round: self.round,
             phase: match &self.stage {
@@ -618,43 +620,15 @@ where
                 Stage::InShaker(_) => 1,
                 Stage::Halted => 2,
             },
-            preference: debug_bool(&self.v),
-            decided: self.decided.as_ref().and_then(debug_bool),
+            preference: as_bool(&self.v),
+            decided: self.decided.as_ref().and_then(as_bool),
         }
     }
 }
 
-/// `Some(b)` iff `v`'s `Debug` output is exactly `true` or `false`.
-///
-/// The output is written into a five-byte stack buffer, enough for
-/// `false`; anything longer overflows it and reads as `None`, so no
-/// observation allocates.
-fn debug_bool<V: Debug>(v: &V) -> Option<bool> {
-    /// `len` is `None` once a write has overflowed.
-    struct Buf {
-        bytes: [u8; 5],
-        len: Option<usize>,
-    }
-    impl fmt::Write for Buf {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            let start = self.len.take().ok_or(fmt::Error)?;
-            let end = start + s.len();
-            let dst = self.bytes.get_mut(start..end).ok_or(fmt::Error)?;
-            dst.copy_from_slice(s.as_bytes());
-            self.len = Some(end);
-            Ok(())
-        }
-    }
-    let mut buf = Buf {
-        bytes: [0; 5],
-        len: Some(0),
-    };
-    fmt::write(&mut buf, format_args!("{v:?}")).ok()?;
-    match &buf.bytes[..buf.len?] {
-        b"true" => Some(true),
-        b"false" => Some(false),
-        _ => None,
-    }
+/// `Some(b)` iff `v` is the bool `b`.
+fn as_bool<V: Any>(v: &V) -> Option<bool> {
+    (v as &dyn Any).downcast_ref::<bool>().copied()
 }
 
 impl<D, S> Debug for Template<D, S>
@@ -908,13 +882,13 @@ mod tests {
         assert_eq!(sim.decision(ProcessId(0)), Some(&1));
         let o = sim.process(ProcessId(0)).observe();
         assert_eq!((o.preference, o.decided), (None, None));
-        // Longer output overflows the five-byte buffer; shorter output
-        // that is not a bool reads as None too.
-        assert_eq!(debug_bool(&"true"), None, "a quoted string is not a bool");
-        assert_eq!(debug_bool(&Some(true)), None);
-        assert_eq!(debug_bool(&()), None);
-        assert_eq!(debug_bool(&true), Some(true));
-        assert_eq!(debug_bool(&false), Some(false));
+        // Only a bool reads as a bool: not a string that says so, not a
+        // bool inside another type.
+        assert_eq!(as_bool(&"true"), None, "a quoted string is not a bool");
+        assert_eq!(as_bool(&Some(true)), None);
+        assert_eq!(as_bool(&()), None);
+        assert_eq!(as_bool(&true), Some(true));
+        assert_eq!(as_bool(&false), Some(false));
     }
 
     #[test]

@@ -49,10 +49,10 @@
 //!
 //! The layer mints its own seqs, consecutively per pair, so its state
 //! needs no ordered map: each pair's send buffer and receive marks are
-//! windows indexed by seq. Each sender's deadline index is a min-heap
-//! that an ack does not touch: a retired entry's element goes stale and
-//! is dropped when it reaches the top. DESIGN.md §11 gives the cost of
-//! each operation.
+//! windows indexed by seq. Deadlines live only in the send windows: a
+//! first send arms its sender's check at its own deadline, and a check
+//! makes one pass over its sender's windows. DESIGN.md §11 gives the
+//! cost of each operation.
 //!
 //! [`SimBuilder::reliability`]: crate::SimBuilder::reliability
 //! [`TraceEvent::Evict`]: crate::TraceEvent::Evict
@@ -60,8 +60,7 @@
 use crate::process::Payload;
 use crate::rng::SplitMix64;
 use crate::{ProcessId, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Whether the engine retransmits unacknowledged messages.
 ///
@@ -191,17 +190,6 @@ impl<M> PairSend<M> {
         usize::try_from(seq.checked_sub(self.base)?).ok()
     }
 
-    /// The live entry with seq `seq`, if any.
-    fn get(&self, seq: u64) -> Option<&InFlight<M>> {
-        self.unacked.get(self.slot(seq)?)?.as_ref()
-    }
-
-    /// The live entry with seq `seq`, if any.
-    fn get_mut(&mut self, seq: u64) -> Option<&mut InFlight<M>> {
-        let i = self.slot(seq)?;
-        self.unacked.get_mut(i)?.as_mut()
-    }
-
     /// Retires the oldest live entry, returning its seq.
     fn retire_front(&mut self) -> Option<u64> {
         self.unacked.pop_front()??;
@@ -246,6 +234,10 @@ impl RecvState {
     /// Records `seq` as received and advances `cum` over the received
     /// prefix. Returns false if `seq` was already received.
     fn mark(&mut self, seq: u64) -> bool {
+        if self.above.is_empty() && seq == self.cum + 1 {
+            self.cum = seq;
+            return true;
+        }
         let Some(slot) = seq.checked_sub(self.cum + 1) else {
             return false;
         };
@@ -265,17 +257,6 @@ impl RecvState {
     }
 }
 
-/// A deadline index element: `(deadline, to, seq)`.
-type Due = (SimTime, ProcessId, u64);
-
-/// Whether `key` is a live element of the deadline index over the
-/// sender's pair `row`: its entry is unacked and still has that deadline.
-fn is_live<M>(row: &[PairSend<M>], (deadline, to, seq): Due) -> bool {
-    row[to.index()]
-        .get(seq)
-        .is_some_and(|entry| entry.deadline == deadline)
-}
-
 /// Result of registering one outgoing message in the send buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Registered {
@@ -284,6 +265,9 @@ pub(crate) struct Registered {
     /// `(recipient, seq)` of the oldest-unacked entry evicted to make
     /// room, if the sender was at capacity.
     pub evicted: Option<(ProcessId, u64)>,
+    /// The new entry's first retransmission deadline, never before the
+    /// registration tick.
+    pub deadline: SimTime,
 }
 
 /// A retransmission due at a [`RetransmitCheck`](crate::EventKind) tick.
@@ -293,6 +277,16 @@ pub(crate) struct DueRetransmit<M> {
     pub seq: u64,
     pub msg: Payload<M>,
     pub retries: u32,
+}
+
+/// Outcome of one retransmission check, besides the retransmissions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Checked {
+    /// Entries retired because their retries were spent.
+    pub exhausted: u64,
+    /// The sender's earliest deadline after the check, if it still
+    /// buffers anything; never before the check's tick.
+    pub next: Option<SimTime>,
 }
 
 /// Outcome of receiving one copy of `(from, seq)` on the dedup side.
@@ -310,15 +304,12 @@ pub(crate) struct Received {
 /// Pair state lives in dense `n × n` tables indexed `from * n + to`, and
 /// every per-pair container is a window indexed by the seqs this layer
 /// mints: the send side keeps its unacked entries from the oldest live
-/// seq up, the receive side its received flags above `cum`. Each sender
-/// keeps a min-heap of `(deadline, to, seq)` holding one live element
-/// per unacked entry, so the earliest deadline is read rather than
-/// scanned and a check visits only the entries that are due. Retiring
-/// an entry leaves its element behind as stale; stale elements are
-/// dropped when they reach the top, and the top is made live before it
-/// is read. Every container is ordered or dense, so iteration — and
-/// therefore the order of RNG draws and scheduled events — is
-/// deterministic.
+/// seq up, the receive side its received flags above `cum`. A deadline
+/// is kept only in its entry: a check reads them all in one pass over
+/// its sender's windows, and a first send arms a check at its own
+/// deadline (see [`Self::note_check`]). Every container is ordered or
+/// dense, so iteration — and therefore the order of RNG draws and
+/// scheduled events — is deterministic.
 #[derive(Debug, Clone)]
 pub(crate) struct ReliabilityState<M> {
     pub(crate) cfg: RetransmitConfig,
@@ -332,9 +323,6 @@ pub(crate) struct ReliabilityState<M> {
     n: usize,
     send: Vec<PairSend<M>>,
     recv: Vec<RecvState>,
-    /// Per sender: a min-heap of `(deadline, to, seq)`, live for every
-    /// unacked entry and stale for some retired ones (see [`is_live`]).
-    deadlines: Vec<BinaryHeap<Reverse<Due>>>,
     /// Per sender: its unacked entries across all pairs.
     buffered: Vec<usize>,
     /// Ticks at which a `RetransmitCheck` is queued, per process: a
@@ -358,7 +346,6 @@ impl<M: Clone> ReliabilityState<M> {
             n,
             send: (0..n * n).map(|_| PairSend::new(cfg.rto_initial)).collect(),
             recv: vec![RecvState::default(); n * n],
-            deadlines: vec![BinaryHeap::new(); n],
             buffered: vec![0; n],
             checks: vec![Vec::new(); n],
             next_reg: 0,
@@ -395,9 +382,12 @@ impl<M: Clone> ReliabilityState<M> {
             retries: 0,
             reg,
         });
-        self.deadlines[from.index()].push(Reverse((deadline, to, seq)));
         self.buffered[from.index()] += 1;
-        Registered { seq, evicted }
+        Registered {
+            seq,
+            evicted,
+            deadline,
+        }
     }
 
     /// Removes the oldest-registered unacked entry across all of `from`'s
@@ -455,28 +445,22 @@ impl<M: Clone> ReliabilityState<M> {
         Received { fresh, cum: st.cum }
     }
 
-    /// Earliest retransmission deadline across all of `p`'s pairs, if it
-    /// has anything buffered. Drops the stale elements above it.
-    pub(crate) fn earliest_deadline(&mut self, p: ProcessId) -> Option<SimTime> {
-        let heap = &mut self.deadlines[p.index()];
-        let row = &self.send[p.index() * self.n..][..self.n];
-        while let Some(&Reverse(key)) = heap.peek() {
-            if is_live(row, key) {
-                return Some(key.0);
-            }
-            heap.pop();
-        }
-        None
-    }
-
-    /// Records that a `RetransmitCheck` for `p` should fire at `tick`.
-    /// Returns true when the caller must actually schedule the event —
-    /// i.e. `tick` precedes every check already queued (the invariant is
-    /// `min(checks[p]) ≤ min(deadlines of p)`, so a later tick is
-    /// already covered).
+    /// Records that a `RetransmitCheck` for `p` should fire at `tick`, one
+    /// of `p`'s deadlines. Returns true when the caller must actually
+    /// schedule the event, i.e. `tick` precedes every check already
+    /// queued; a later tick is already covered.
     ///
     /// A tick is pushed only below the earliest, so the stack decreases
     /// strictly toward its top, and the top is the earliest queued check.
+    ///
+    /// The engine notes each first send's own deadline, and after each
+    /// check the earliest deadline left. That keeps the top at or below
+    /// `p`'s earliest deadline whenever `p` buffers anything: only a
+    /// registration or a check arms a deadline, and acks, evictions and
+    /// exhaustion only retire entries. So a new entry that is not the
+    /// earliest finds a check queued no later than the earliest, and
+    /// noting its own deadline gives the answer noting the earliest
+    /// would.
     pub(crate) fn note_check(&mut self, p: ProcessId, tick: u64) -> bool {
         let stack = &mut self.checks[p.index()];
         let needed = stack.last().is_none_or(|&earliest| tick < earliest);
@@ -500,52 +484,50 @@ impl<M: Clone> ReliabilityState<M> {
         debug_assert!(!stack.contains(&tick), "a check fired below the earliest");
     }
 
-    /// Collects everything due at `now` for sender `p`: entries past
-    /// their deadline are either returned for retransmission (retries
-    /// bumped, pair RTO doubled toward `rto_max`, new jittered deadline
-    /// armed) or retired as exhausted when `max_retries` is spent.
-    /// Returns `(to_retransmit, exhausted_count)`.
-    pub(crate) fn due(&mut self, p: ProcessId, now: SimTime) -> (Vec<DueRetransmit<M>>, u64) {
-        let heap = &mut self.deadlines[p.index()];
-        let row = &self.send[p.index() * self.n..][..self.n];
-        let mut keys = Vec::new();
-        while let Some(&Reverse(key @ (deadline, to, seq))) = heap.peek() {
-            if deadline > now {
-                break;
+    /// Runs `p`'s retransmission check at `now` in one pass over its pair
+    /// windows, in `(to, seq)` order. An entry past its deadline is
+    /// retired as exhausted when `max_retries` is spent; otherwise its
+    /// retries are bumped, the pair RTO doubles toward `rto_max`, a new
+    /// jittered deadline is drawn, and the entry is pushed onto `out` for
+    /// retransmission. The same pass finds the earliest deadline left.
+    pub(crate) fn check(
+        &mut self,
+        p: ProcessId,
+        now: SimTime,
+        out: &mut Vec<DueRetransmit<M>>,
+    ) -> Checked {
+        let cfg = self.cfg;
+        let mut checked = Checked {
+            exhausted: 0,
+            next: None,
+        };
+        let row = &mut self.send[p.index() * self.n..][..self.n];
+        for (to, pair) in row.iter_mut().enumerate() {
+            for (slot, seq) in pair.unacked.iter_mut().zip(pair.base..) {
+                let Some(entry) = slot else { continue };
+                if entry.deadline <= now {
+                    if entry.retries >= cfg.max_retries {
+                        *slot = None;
+                        checked.exhausted += 1;
+                        continue;
+                    }
+                    pair.rto = pair.rto.saturating_mul(2).min(cfg.rto_max);
+                    entry.retries += 1;
+                    entry.deadline = cfg.deadline(&mut self.rng, now, pair.rto);
+                    out.push(DueRetransmit {
+                        to: ProcessId(to),
+                        seq,
+                        msg: entry.msg.clone(),
+                        retries: entry.retries,
+                    });
+                }
+                let d = entry.deadline;
+                checked.next = Some(checked.next.map_or(d, |next| next.min(d)));
             }
-            heap.pop();
-            if is_live(row, key) {
-                keys.push((to, seq));
-            }
+            pair.trim();
         }
-        // The heap yields deadline order, but retries, backoff and
-        // jitter draws go in (to, seq) order.
-        keys.sort_unstable();
-        let mut out = Vec::with_capacity(keys.len());
-        let mut exhausted = 0u64;
-        for (to, seq) in keys {
-            let i = self.pair(p, to);
-            let pair = &mut self.send[i];
-            let rto = pair.rto.saturating_mul(2).min(self.cfg.rto_max);
-            let entry = pair.get_mut(seq).expect("indexed entry exists");
-            if entry.retries >= self.cfg.max_retries {
-                pair.retire(seq);
-                self.buffered[p.index()] -= 1;
-                exhausted += 1;
-                continue;
-            }
-            entry.retries += 1;
-            entry.deadline = self.cfg.deadline(&mut self.rng, now, rto);
-            self.deadlines[p.index()].push(Reverse((entry.deadline, to, seq)));
-            out.push(DueRetransmit {
-                to,
-                seq,
-                msg: entry.msg.clone(),
-                retries: entry.retries,
-            });
-            pair.rto = rto;
-        }
-        (out, exhausted)
+        self.buffered[p.index()] -= checked.exhausted as usize;
+        checked
     }
 
     /// Number of unacked entries buffered by sender `p`.
@@ -573,7 +555,6 @@ impl<M: Clone> ReliabilityState<M> {
             st.cum = 0;
             st.above.clear();
         }
-        self.deadlines[p.index()].clear();
         self.buffered[p.index()] = 0;
         self.checks[p.index()].clear();
     }
@@ -593,6 +574,37 @@ mod tests {
             jitter_permille: 0,
             ..RetransmitConfig::default()
         }
+    }
+
+    /// Runs `p`'s check at tick `now` into a fresh buffer.
+    fn check(
+        s: &mut ReliabilityState<u64>,
+        p: ProcessId,
+        now: u64,
+    ) -> (Vec<DueRetransmit<u64>>, Checked) {
+        let mut out = Vec::new();
+        let checked = s.check(p, SimTime::from_ticks(now), &mut out);
+        (out, checked)
+    }
+
+    /// Sender `p`'s live entries as `(to, seq, entry)`, in `(to, seq)`
+    /// order.
+    fn live(
+        s: &ReliabilityState<u64>,
+        p: usize,
+    ) -> impl Iterator<Item = (usize, u64, &InFlight<u64>)> {
+        s.send[p * s.n..][..s.n]
+            .iter()
+            .enumerate()
+            .flat_map(|(to, pair)| {
+                let slots = pair.unacked.iter().zip(pair.base..);
+                slots.filter_map(move |(slot, seq)| Some((to, seq, slot.as_ref()?)))
+            })
+    }
+
+    /// Sender `p`'s earliest deadline, by a scan of its windows.
+    fn earliest(s: &ReliabilityState<u64>, p: usize) -> Option<SimTime> {
+        live(s, p).map(|(_, _, e)| e.deadline).min()
     }
 
     #[test]
@@ -652,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn due_applies_backoff_and_exhaustion() {
+    fn check_applies_backoff_and_exhaustion() {
         let cfg = RetransmitConfig {
             rto_initial: 10,
             rto_max: 25,
@@ -662,33 +674,56 @@ mod tests {
         let mut s = state(cfg);
         let p0 = ProcessId(0);
         let p1 = ProcessId(1);
-        s.register(SimTime::ZERO, p0, p1, &Payload::Owned(42u64));
-        assert_eq!(s.earliest_deadline(p0), Some(SimTime::from_ticks(10)));
+        let r = s.register(SimTime::ZERO, p0, p1, &Payload::Owned(42u64));
+        assert_eq!(r.deadline, SimTime::from_ticks(10));
+        let next = |t| Some(SimTime::from_ticks(t));
         // Not due yet.
-        let (r, ex) = s.due(p0, SimTime::from_ticks(9));
+        let (r, c) = check(&mut s, p0, 9);
         assert!(r.is_empty());
-        assert_eq!(ex, 0);
+        assert_eq!(
+            c,
+            Checked {
+                exhausted: 0,
+                next: next(10)
+            }
+        );
         // First retransmission: rto doubles 10 → 20.
-        let (r, ex) = s.due(p0, SimTime::from_ticks(10));
+        let (r, c) = check(&mut s, p0, 10);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].retries, 1);
-        assert_eq!(ex, 0);
-        assert_eq!(s.earliest_deadline(p0), Some(SimTime::from_ticks(30)));
+        assert_eq!(
+            c,
+            Checked {
+                exhausted: 0,
+                next: next(30)
+            }
+        );
         // Second retransmission: rto capped 40 → 25.
-        let (r, _) = s.due(p0, SimTime::from_ticks(30));
+        let (r, c) = check(&mut s, p0, 30);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].retries, 2);
-        assert_eq!(s.earliest_deadline(p0), Some(SimTime::from_ticks(55)));
+        assert_eq!(
+            c,
+            Checked {
+                exhausted: 0,
+                next: next(55)
+            }
+        );
         // Third attempt exhausts the entry.
-        let (r, ex) = s.due(p0, SimTime::from_ticks(55));
+        let (r, c) = check(&mut s, p0, 55);
         assert!(r.is_empty());
-        assert_eq!(ex, 1);
+        assert_eq!(
+            c,
+            Checked {
+                exhausted: 1,
+                next: None
+            }
+        );
         assert_eq!(s.buffered(p0), 0);
-        assert_eq!(s.earliest_deadline(p0), None);
     }
 
     #[test]
-    fn due_draws_jitter_in_recipient_then_seq_order() {
+    fn check_draws_jitter_in_recipient_then_seq_order() {
         // The entry to p2 is registered first and falls due first, but
         // due entries are processed — and their jitter drawn — in
         // (to, seq) order, so p1's retransmission comes first and takes
@@ -708,7 +743,7 @@ mod tests {
         s.register(SimTime::from_ticks(5), p0, p1, &m);
         let j_p1 = replica.below(3);
         assert!(10 + j_p2 < 15 + j_p1, "the p2 entry must fall due first");
-        let (r, _) = s.due(p0, SimTime::from_ticks(20));
+        let (r, _) = check(&mut s, p0, 20);
         let order: Vec<ProcessId> = r.iter().map(|d| d.to).collect();
         assert_eq!(order, vec![p1, p2]);
         // Both pair RTOs doubled to 20; the draws follow the same order.
@@ -716,7 +751,7 @@ mod tests {
         assert_ne!(first, second, "the check needs two distinct draws");
         let mut rearmed = Vec::new();
         for t in 21..=60 {
-            for d in s.due(p0, SimTime::from_ticks(t)).0 {
+            for d in check(&mut s, p0, t).0 {
                 rearmed.push((d.to, t));
             }
         }
@@ -764,15 +799,13 @@ mod tests {
         assert_eq!(s.buffered(p0), 3);
     }
 
-    /// Asserts the window and index invariants: every pair's window has
+    /// Asserts the window and arming invariants: every pair's window has
     /// a live front slot, ends at `next_seq - 1` and holds its entries in
-    /// registration order, and each sender's deadline heap holds exactly
-    /// one live `(deadline, to, seq)` per unacked entry, as many as
-    /// `buffered` counts, with the earliest deadline on top once the
-    /// stale elements above it are dropped.
-    fn assert_indexed(s: &ReliabilityState<u64>) {
+    /// registration order, `buffered` counts each sender's entries, and
+    /// whenever a sender buffers anything the top of its check stack is
+    /// at or below its earliest deadline.
+    fn assert_windows(s: &ReliabilityState<u64>) {
         for from in 0..s.n {
-            let mut expected = Vec::new();
             for to in 0..s.n {
                 let pair = &s.send[from * s.n + to];
                 if !pair.unacked.is_empty() {
@@ -780,38 +813,123 @@ mod tests {
                     let end = pair.base + pair.unacked.len() as u64;
                     assert_eq!(end, pair.next_seq, "pair {from}→{to}");
                 }
-                let mut last_reg = None;
-                for (slot, seq) in pair.unacked.iter().zip(pair.base..) {
-                    let Some(e) = slot else { continue };
-                    assert!(last_reg < Some(e.reg), "pair {from}→{to}");
-                    last_reg = Some(e.reg);
-                    expected.push((e.deadline, ProcessId(to), seq));
+                let regs = pair.unacked.iter().flatten().map(|e| e.reg);
+                assert!(regs.is_sorted_by(|a, b| a < b), "pair {from}→{to}");
+            }
+            assert_eq!(s.buffered[from], live(s, from).count(), "sender {from}");
+            if let Some(earliest) = earliest(s, from) {
+                let top = s.checks[from].last();
+                assert!(
+                    top.is_some_and(|&tick| tick <= earliest.ticks()),
+                    "sender {from}: earliest check {top:?}, earliest deadline {earliest:?}"
+                );
+            }
+        }
+    }
+
+    /// Asserts that `p`'s check at tick `now`, run on a copy of `s`,
+    /// agrees with a scan of the windows: it retries the entries the scan
+    /// finds due with retries to spare, in `(to, seq)` order with the
+    /// RTOs and jitter draws a model of the backoff gives, exhausts the
+    /// rest, and returns the earliest deadline a scan finds after it.
+    /// Returns how many entries the scan found due.
+    fn assert_check_matches_scan(s: &ReliabilityState<u64>, p: usize, now: u64) -> usize {
+        let mut rng = s.rng.clone();
+        let mut rto: Vec<u64> = s.send[p * s.n..][..s.n]
+            .iter()
+            .map(|pair| pair.rto)
+            .collect();
+        let (mut retried, mut exhausted) = (Vec::new(), 0);
+        for (to, seq, e) in live(s, p).filter(|(_, _, e)| e.deadline.ticks() <= now) {
+            if e.retries >= s.cfg.max_retries {
+                exhausted += 1;
+                continue;
+            }
+            rto[to] = rto[to].saturating_mul(2).min(s.cfg.rto_max);
+            let deadline = s.cfg.deadline(&mut rng, SimTime::from_ticks(now), rto[to]);
+            retried.push((to, seq, e.retries + 1, deadline));
+        }
+        let mut after = s.clone();
+        let (out, checked) = check(&mut after, ProcessId(p), now);
+        let found: Vec<_> = out
+            .iter()
+            .map(|d| {
+                let (to, seq) = (d.to.index(), d.seq);
+                let entry = live(&after, p).find(|&(t, q, _)| (t, q) == (to, seq));
+                (
+                    to,
+                    seq,
+                    d.retries,
+                    entry.expect("a retried entry stays live").2.deadline,
+                )
+            })
+            .collect();
+        assert_eq!(found, retried, "sender {p} at {now}");
+        assert_eq!(checked.exhausted, exhausted, "sender {p} at {now}");
+        assert_eq!(checked.next, earliest(&after, p), "sender {p} at {now}");
+        assert!(
+            checked.next.is_none_or(|d| d.ticks() > now),
+            "sender {p} at {now}"
+        );
+        let rtos = after.send[p * s.n..][..s.n].iter().map(|pair| pair.rto);
+        assert!(rtos.eq(rto), "sender {p} at {now}");
+        assert_eq!(after.rng, rng, "sender {p} at {now}");
+        retried.len() + exhausted as usize
+    }
+
+    /// The engine's queued `RetransmitCheck` events, as
+    /// `(tick, scheduling order, process)`.
+    #[derive(Default)]
+    struct Queued {
+        events: BTreeSet<(u64, u64, usize)>,
+        scheduled: u64,
+    }
+
+    impl Queued {
+        /// Arms `p`'s check at `deadline`, as the engine's `ensure_check`
+        /// does.
+        fn arm(&mut self, s: &mut ReliabilityState<u64>, p: usize, deadline: SimTime) {
+            if s.note_check(ProcessId(p), deadline.ticks()) {
+                self.events.insert((deadline.ticks(), self.scheduled, p));
+                self.scheduled += 1;
+            }
+        }
+
+        /// Fires every check queued at or before `now` in the engine's
+        /// order, as its `retransmit_check` does, each after checking it
+        /// against a scan. Returns the entries exhausted and the checks
+        /// that found their tick gone from the stack.
+        fn fire(&mut self, s: &mut ReliabilityState<u64>, now: u64) -> (u64, u64) {
+            let (mut exhausted, mut husks) = (0, 0);
+            while let Some((tick, _, p)) = self.events.first().copied() {
+                if tick > now {
+                    break;
+                }
+                self.events.pop_first();
+                husks += u64::from(s.checks[p].last() != Some(&tick));
+                s.pop_check(ProcessId(p), tick);
+                assert_check_matches_scan(s, p, tick);
+                let checked = check(s, ProcessId(p), tick).1;
+                exhausted += checked.exhausted;
+                if let Some(next) = checked.next {
+                    self.arm(s, p, next);
                 }
             }
-            let row = &s.send[from * s.n..][..s.n];
-            let mut live: Vec<Due> = s.deadlines[from]
-                .iter()
-                .map(|&Reverse(key)| key)
-                .filter(|&key| is_live(row, key))
-                .collect();
-            live.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(live, expected, "sender {from}");
-            assert_eq!(s.buffered[from], expected.len(), "sender {from}");
-            let earliest = s.clone().earliest_deadline(ProcessId(from));
-            assert_eq!(earliest, expected.first().map(|k| k.0), "sender {from}");
+            (exhausted, husks)
         }
     }
 
     #[test]
-    fn deadline_index_tracks_every_unacked_entry() {
+    fn checks_match_a_scan_and_arming_covers_every_deadline() {
         // Random registrations at a capacity that evicts, acks near each
-        // pair's newest seq, checks with a retry budget that exhausts,
-        // receives from below a pair's cum to well above it, and
-        // crashes: the windows and the index must match the buffers
-        // after each step, with stale index elements left behind, and
-        // every receive must match a model of the seqs the pair has
-        // received.
+        // pair's newest seq, receives from below a pair's cum to well
+        // above it, crashes, and time jumps, with checks armed and fired
+        // the way the engine arms and fires them and a retry budget that
+        // exhausts. After each step every pair's window must be
+        // consistent, every sender's check stack must cover its earliest
+        // deadline, and a check at a random later tick must match a scan
+        // of the windows; so must every check that fires. Every receive
+        // must match a model of the seqs the pair has received.
         let cfg = RetransmitConfig {
             rto_initial: 3,
             rto_max: 20,
@@ -824,22 +942,32 @@ mod tests {
         let mut rng = SplitMix64::new(99);
         let m = Payload::Owned(0u64);
         let mut received = vec![BTreeSet::new(); 16];
-        let (mut now, mut evicted, mut exhausted) = (0, 0, 0);
-        let (mut duplicates, mut gaps, mut in_order, mut stale) = (0, 0, 0, 0);
+        let mut queued = Queued::default();
+        let (mut now, mut evicted, mut exhausted, mut husks) = (0, 0, 0, 0);
+        let (mut covered, mut probed_due) = (0, 0);
+        let (mut duplicates, mut gaps, mut in_order) = (0, 0, 0);
         for _ in 0..5_000 {
-            now += rng.below(3);
+            let op = rng.below(12);
+            now += rng.below(if (7..=8).contains(&op) { 30 } else { 3 });
+            let (ex, hu) = queued.fire(&mut s, now);
+            (exhausted, husks) = (exhausted + ex, husks + hu);
             let t = SimTime::from_ticks(now);
             let a = ProcessId(rng.below(4) as usize);
             let b = ProcessId((a.index() + 1 + rng.below(3) as usize) % 4);
-            match rng.below(12) {
-                0..=4 => evicted += u64::from(s.register(t, a, b, &m).evicted.is_some()),
+            match op {
+                0..=4 => {
+                    let r = s.register(t, a, b, &m);
+                    evicted += u64::from(r.evicted.is_some());
+                    covered += u64::from(earliest(&s, a.index()) < Some(r.deadline));
+                    queued.arm(&mut s, a.index(), r.deadline);
+                }
                 5..=6 => {
                     let next = s.send[s.pair(a, b)].next_seq;
                     let cum = next.saturating_sub(1 + rng.below(4));
                     let seq = next.saturating_sub(rng.below(4));
                     s.apply_ack(a, b, cum, seq);
                 }
-                7..=8 => exhausted += s.due(a, t).1,
+                7..=8 => {}
                 9..=10 => {
                     let i = s.pair(a, b);
                     let seq = (s.recv[i].cum + 1 + rng.below(10)).saturating_sub(3).max(1);
@@ -863,14 +991,15 @@ mod tests {
                     }
                 }
             }
-            assert_indexed(&s);
-            stale += (0..4)
-                .map(|p| s.deadlines[p].len() - s.buffered[p])
-                .sum::<usize>();
+            assert_windows(&s);
+            for p in 0..4 {
+                probed_due += assert_check_matches_scan(&s, p, now + rng.below(40));
+            }
         }
         assert!(
-            evicted > 0 && exhausted > 0 && stale > 0,
-            "{evicted} evictions, {exhausted} exhaustions, {stale} stale elements"
+            evicted > 0 && exhausted > 0 && husks > 0 && covered > 0 && probed_due > 0,
+            "{evicted} evictions, {exhausted} exhaustions, {husks} husk checks, \
+             {covered} covered arms, {probed_due} entries due at probes"
         );
         assert!(
             duplicates > 0 && gaps > 0 && in_order > 0,
@@ -903,7 +1032,8 @@ mod tests {
         s.note_check(p0, 50);
         s.on_crash(p0);
         assert_eq!(s.buffered(p0), 0);
-        assert_eq!(s.earliest_deadline(p0), None);
+        assert_eq!(earliest(&s, 0), None);
+        assert!(s.note_check(p0, 60), "the crash cleared the check stack");
         // Receive state addressed *to* p0 was cleared: seq 1 from p1 is
         // fresh again for the new incarnation.
         assert!(s.receive(p1, p0, 1).fresh);

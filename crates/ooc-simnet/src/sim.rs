@@ -6,7 +6,7 @@ use crate::metrics::{CounterId, HistogramId, MetricsRegistry};
 use crate::network::NetworkConfig;
 use crate::process::{Effects, Payload, Process, ProtocolObservation, StorageOp};
 use crate::queue::TimingWheel;
-use crate::reliable::{ReliabilityPolicy, ReliabilityState};
+use crate::reliable::{DueRetransmit, ReliabilityPolicy, ReliabilityState};
 use crate::rng::SplitMix64;
 use crate::state_adversary::{StateAdversary, StateView};
 use crate::stats::RunStats;
@@ -428,6 +428,7 @@ impl<P: Process> SimBuilder<P> {
             queue_depth_every: self.queue_depth_every,
             scratch: Effects::default(),
             reliability,
+            retransmits: Vec::new(),
             pending_msgs: 0,
             pending_faults: 0,
         };
@@ -609,6 +610,8 @@ pub struct Sim<P: Process> {
     /// Reliable-delivery state; `Some` iff the builder selected
     /// [`ReliabilityPolicy::Retransmit`].
     reliability: Option<ReliabilityState<P::Msg>>,
+    /// Reused buffer for the retransmissions one check finds due.
+    retransmits: Vec<DueRetransmit<P::Msg>>,
     /// Queued message-bearing events (Deliver / Ack), maintained at every
     /// schedule and pop so the liveness watchdog can ask "is anything
     /// still in flight?" in O(1).
@@ -1038,34 +1041,37 @@ impl<P: Process> Sim<P> {
         // Storage lands first: a record is persisted before any of the
         // invocation's outgoing messages become visible, so a process
         // never tells the network something its storage does not know.
-        for op in self.scratch.storage.drain(..) {
-            match op {
-                StorageOp::Put { key, value } => {
-                    self.metrics.incr_by_id(self.metric_ids.storage_writes, 1);
-                    let traced_key = (self.trace.level() == TraceLevel::Full)
-                        .then(|| key.clone());
-                    self.trace.push(TraceEvent::Persist {
-                        at: self.now,
-                        process: pid,
-                        key: traced_key,
-                        bytes: value.len() as u64,
-                    });
-                    self.stores[i].append(key, value);
-                }
-                StorageOp::Sync => {
-                    self.metrics.incr_by_id(self.metric_ids.storage_syncs, 1);
-                    let latency = self.sync_latency[i];
-                    if latency > 0 {
-                        stall = stall + SimDuration::from_ticks(latency);
-                        self.metrics
-                            .observe_by_id(self.metric_ids.sync_stall_ticks, latency);
+        // Most handlers persist nothing, so an empty buffer is not drained.
+        if !self.scratch.storage.is_empty() {
+            for op in self.scratch.storage.drain(..) {
+                match op {
+                    StorageOp::Put { key, value } => {
+                        self.metrics.incr_by_id(self.metric_ids.storage_writes, 1);
+                        let traced_key =
+                            (self.trace.level() == TraceLevel::Full).then(|| key.clone());
+                        self.trace.push(TraceEvent::Persist {
+                            at: self.now,
+                            process: pid,
+                            key: traced_key,
+                            bytes: value.len() as u64,
+                        });
+                        self.stores[i].append(key, value);
                     }
-                    let records = self.stores[i].sync() as u64;
-                    self.trace.push(TraceEvent::SyncOk {
-                        at: self.now,
-                        process: pid,
-                        records,
-                    });
+                    StorageOp::Sync => {
+                        self.metrics.incr_by_id(self.metric_ids.storage_syncs, 1);
+                        let latency = self.sync_latency[i];
+                        if latency > 0 {
+                            stall = stall + SimDuration::from_ticks(latency);
+                            self.metrics
+                                .observe_by_id(self.metric_ids.sync_stall_ticks, latency);
+                        }
+                        let records = self.stores[i].sync() as u64;
+                        self.trace.push(TraceEvent::SyncOk {
+                            at: self.now,
+                            process: pid,
+                            records,
+                        });
+                    }
                 }
             }
         }
@@ -1083,8 +1089,10 @@ impl<P: Process> Sim<P> {
         self.scratch.timer_requests.clear();
         // Cancellations apply last so a timer set and cancelled within one
         // handler invocation stays cancelled.
-        for id in self.scratch.cancelled.drain(..) {
-            self.live_timers[i].remove(&id);
+        if !self.scratch.cancelled.is_empty() {
+            for id in self.scratch.cancelled.drain(..) {
+                self.live_timers[i].remove(&id);
+            }
         }
         let mut outbox = std::mem::take(&mut self.scratch.outbox);
         for out in outbox.drain(..) {
@@ -1144,10 +1152,12 @@ impl<P: Process> Sim<P> {
         stall: SimDuration,
         retry: Option<u64>,
     ) {
+        let mut armed = None;
         let tag = match (retry, self.reliability.as_mut()) {
             (Some(seq), _) => Tag::Tracked(seq),
             (None, Some(rel)) if to != from => {
                 let registered = rel.register(self.now, from, to, &msg);
+                armed = Some(registered.deadline);
                 if let Some((evicted_to, seq)) = registered.evicted {
                     self.stats.messages_evicted += 1;
                     self.metrics.incr_by_id(self.metric_ids.evicted, 1);
@@ -1214,28 +1224,23 @@ impl<P: Process> Sim<P> {
                 self.schedule(at, EventKind::Deliver { from, to, msg, tag });
             }
         }
-        if retry.is_none() {
-            self.ensure_check(from);
+        if let Some(deadline) = armed {
+            self.ensure_check(from, deadline);
         }
     }
 
     /// Makes sure a [`EventKind::RetransmitCheck`] is queued for `pid` no
-    /// later than its earliest retransmission deadline. Later checks
-    /// already queued are left in place (they become cheap no-ops);
-    /// earlier ones cover the new deadline by definition.
-    fn ensure_check(&mut self, pid: ProcessId) {
+    /// later than `deadline`: a first send's deadline, or the earliest
+    /// one a check left. A check already queued no later covers it, even
+    /// when `deadline` is not `pid`'s earliest (see
+    /// `ReliabilityState::note_check`); later checks stay queued and find
+    /// whatever is due when they fire.
+    fn ensure_check(&mut self, pid: ProcessId, deadline: SimTime) {
         let Some(rel) = self.reliability.as_mut() else {
             return;
         };
-        let Some(deadline) = rel.earliest_deadline(pid) else {
-            return;
-        };
-        let tick = deadline.ticks().max(self.now.ticks());
-        if rel.note_check(pid, tick) {
-            self.schedule(
-                SimTime::from_ticks(tick),
-                EventKind::RetransmitCheck { process: pid },
-            );
+        if rel.note_check(pid, deadline.ticks()) {
+            self.schedule(deadline, EventKind::RetransmitCheck { process: pid });
         }
     }
 
@@ -1282,7 +1287,7 @@ impl<P: Process> Sim<P> {
     /// exhausted entries are retired, the rest are retransmitted through
     /// [`Sim::send`] (so a retry faces the adversary afresh — that is
     /// exactly how it can land in a heal window). Then re-arms the next
-    /// check from the new earliest deadline.
+    /// check from the earliest deadline the sweep left.
     fn retransmit_check(&mut self, process: ProcessId) {
         let Some(rel) = self.reliability.as_mut() else {
             return;
@@ -1291,12 +1296,13 @@ impl<P: Process> Sim<P> {
         if self.crashed[process.index()] {
             return;
         }
-        let (due, exhausted) = rel.due(process, self.now);
-        if exhausted > 0 {
+        let mut due = std::mem::take(&mut self.retransmits);
+        let checked = rel.check(process, self.now, &mut due);
+        if checked.exhausted > 0 {
             self.metrics
-                .incr_by_id(self.metric_ids.retry_exhausted, exhausted);
+                .incr_by_id(self.metric_ids.retry_exhausted, checked.exhausted);
         }
-        for d in due {
+        for d in due.drain(..) {
             self.stats.retransmissions += 1;
             self.metrics.incr_by_id(self.metric_ids.retransmissions, 1);
             self.trace.push(TraceEvent::Retransmit {
@@ -1307,7 +1313,10 @@ impl<P: Process> Sim<P> {
             });
             self.send(process, d.to, d.msg, SimDuration::ZERO, Some(d.seq));
         }
-        self.ensure_check(process);
+        self.retransmits = due;
+        if let Some(deadline) = checked.next {
+            self.ensure_check(process, deadline);
+        }
     }
 
     /// Armed timers owned by live (neither crashed nor halted)

@@ -274,18 +274,19 @@ impl<M> StateAdversary<M> for QuorumStarveAdversary {
             return base;
         }
         let max_round = view.max_round();
-        let contested: Vec<usize> = (0..view.n()).filter(|&i| view.contested(i)).collect();
-        if contested.is_empty() {
+        let (mut contested, mut front) = (0, 0);
+        for (i, obs) in view.observations.iter().enumerate() {
+            if view.contested(i) {
+                contested += 1;
+                front += usize::from(obs.round == max_round);
+            }
+        }
+        if contested == 0 {
             return base;
         }
-        let front: Vec<usize> = contested
-            .iter()
-            .copied()
-            .filter(|&i| view.observations[i].round == max_round)
-            .collect();
         // Starve whichever camp currently holds a majority of the live,
         // undecided processes — that is the camp that could form a quorum.
-        let front_is_majority = front.len() * 2 > contested.len();
+        let front_is_majority = front * 2 > contested;
         let to_in_front = view
             .observations
             .get(to.index())
