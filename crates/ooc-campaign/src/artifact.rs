@@ -16,6 +16,7 @@ use ooc_simnet::{
     PartitionWindow, ProcessId, ReliabilityPolicy, RetransmitConfig, SimDuration, SimTime,
     StoragePolicy,
 };
+use std::fmt;
 
 /// Which decomposition the artifact drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,6 +284,36 @@ pub struct FailureArtifact {
 }
 
 impl FailureArtifact {
+    /// A clean run: no Byzantine processes, network, faults, adversary,
+    /// sabotage, storage policy, clock drift, slow disk, reliability
+    /// layer or recorded outcome. Every field outside the arguments holds
+    /// the value the JSON form leaves out, and the decoder reads a field
+    /// that is left out as this value. The round and tick caps, which
+    /// every artifact writes, start at zero.
+    pub fn clean(algorithm: Algorithm, n: usize, t: usize, seed: u64, inputs: Vec<u64>) -> Self {
+        FailureArtifact {
+            algorithm,
+            n,
+            t,
+            byzantine: None,
+            attack: None,
+            seed,
+            inputs,
+            max_rounds: 0,
+            max_ticks: 0,
+            network: None,
+            faults: Vec::new(),
+            adversary: AdversarySpec::None,
+            sabotage_commit_threshold: None,
+            storage_policy: None,
+            clock_rates: Vec::new(),
+            sync_latency: 0,
+            reliability: ReliabilityPolicy::Off,
+            stalled_since: None,
+            violation: None,
+        }
+    }
+
     /// The engine [`ClockModel`] described by `clock_rates`.
     pub fn clock_model(&self) -> ClockModel {
         let mut clocks = ClockModel::nominal();
@@ -292,16 +323,21 @@ impl FailureArtifact {
         clocks
     }
 
-    /// Parses the Phase-King attack string ("silent", "equivocate",
-    /// "random", "fixed:K").
-    pub fn parse_attack(&self) -> Attack {
+    /// The Phase-King attack the artifact names: "silent", "equivocate"
+    /// (also when it names none), "random" or "fixed:K". Both
+    /// [`validate`](Self::validate) and the runner read it here.
+    pub fn parse_attack(&self) -> Result<Attack, String> {
         match self.attack.as_deref() {
-            Some("silent") => Attack::Silent,
-            Some("random") => Attack::Random,
-            Some(s) if s.starts_with("fixed:") => {
-                Attack::Fixed(s["fixed:".len()..].parse().unwrap_or(0))
-            }
-            _ => Attack::Equivocate,
+            None | Some("equivocate") => Ok(Attack::Equivocate),
+            Some("silent") => Ok(Attack::Silent),
+            Some("random") => Ok(Attack::Random),
+            Some(name) => name
+                .strip_prefix("fixed:")
+                .and_then(|k| k.parse().ok())
+                .map(Attack::Fixed)
+                .ok_or_else(|| {
+                    format!("unknown attack {name:?} (silent|equivocate|random|fixed:K)")
+                }),
         }
     }
 
@@ -317,223 +353,13 @@ impl FailureArtifact {
 
     /// Serializes to the artifact JSON document.
     pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("algorithm".into(), Json::Str(self.algorithm.name().into())),
-            ("n".into(), Json::U64(self.n as u64)),
-            ("t".into(), Json::U64(self.t as u64)),
-            ("seed".into(), Json::U64(self.seed)),
-            (
-                "inputs".into(),
-                Json::Arr(self.inputs.iter().map(|&v| Json::U64(v)).collect()),
-            ),
-            ("max_rounds".into(), Json::U64(self.max_rounds)),
-            ("max_ticks".into(), Json::U64(self.max_ticks)),
-        ];
-        if let Some(b) = self.byzantine {
-            fields.push(("byzantine".into(), Json::U64(b as u64)));
-        }
-        if let Some(a) = &self.attack {
-            fields.push(("attack".into(), Json::Str(a.clone())));
-        }
-        if let Some(net) = &self.network {
-            fields.push(("network".into(), network_to_json(net)));
-        }
-        if !self.faults.is_empty() {
-            fields.push((
-                "faults".into(),
-                Json::Arr(self.faults.iter().map(fault_to_json).collect()),
-            ));
-        }
-        fields.push(("adversary".into(), adversary_to_json(self.adversary)));
-        if let Some(th) = self.sabotage_commit_threshold {
-            fields.push(("sabotage_commit_threshold".into(), Json::U64(th as u64)));
-        }
-        if let Some(policy) = self.storage_policy {
-            fields.push(("storage_policy".into(), Json::Str(policy.name().into())));
-        }
-        if !self.clock_rates.is_empty() {
-            fields.push((
-                "clock_rates".into(),
-                Json::Arr(
-                    self.clock_rates
-                        .iter()
-                        .map(|&(p, rate)| {
-                            Json::Obj(vec![
-                                ("p".into(), Json::U64(p as u64)),
-                                ("rate_percent".into(), Json::U64(rate as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        if self.sync_latency > 0 {
-            fields.push(("sync_latency".into(), Json::U64(self.sync_latency)));
-        }
-        // The reliability policy and watchdog verdict are emitted only
-        // when present, so artifacts written before the reliable-delivery
-        // layer existed stay byte-identical on round-trip.
-        if let ReliabilityPolicy::Retransmit(cfg) = self.reliability {
-            fields.push((
-                "reliability".into(),
-                Json::Obj(vec![
-                    ("policy".into(), Json::Str("retransmit".into())),
-                    ("rto_initial".into(), Json::U64(cfg.rto_initial)),
-                    ("rto_max".into(), Json::U64(cfg.rto_max)),
-                    ("jitter_permille".into(), Json::U64(cfg.jitter_permille)),
-                    ("max_retries".into(), Json::U64(cfg.max_retries as u64)),
-                    (
-                        "buffer_capacity".into(),
-                        Json::U64(cfg.buffer_capacity as u64),
-                    ),
-                    ("ack_delay".into(), Json::U64(cfg.ack_delay)),
-                ]),
-            ));
-        }
-        if let Some(tick) = self.stalled_since {
-            fields.push(("stalled_since".into(), Json::U64(tick)));
-        }
-        if let Some(v) = &self.violation {
-            fields.push((
-                "violation".into(),
-                Json::Obj(vec![
-                    ("kind".into(), Json::Str(v.kind.clone())),
-                    (
-                        "round".into(),
-                        v.round.map(Json::U64).unwrap_or(Json::Null),
-                    ),
-                    ("detail".into(), Json::Str(v.detail.clone())),
-                ]),
-            ));
-        }
-        Json::Obj(fields)
+        self.encode()
     }
 
-    /// Deserializes from the artifact JSON document.
+    /// Deserializes from the artifact JSON document, and checks that the
+    /// artifact can run.
     pub fn from_json(json: &Json) -> Result<Self, String> {
-        let alg = json
-            .get("algorithm")
-            .and_then(Json::as_str)
-            .and_then(Algorithm::parse)
-            .ok_or("missing or unknown \"algorithm\"")?;
-        let n = json
-            .get("n")
-            .and_then(Json::as_usize)
-            .ok_or("missing \"n\"")?;
-        let t = json
-            .get("t")
-            .and_then(Json::as_usize)
-            .ok_or("missing \"t\"")?;
-        let seed = json
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or("missing \"seed\"")?;
-        let inputs = json
-            .get("inputs")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"inputs\"")?
-            .iter()
-            .map(|v| v.as_u64().ok_or("non-integer input"))
-            .collect::<Result<Vec<u64>, _>>()?;
-        let max_rounds = json
-            .get("max_rounds")
-            .and_then(Json::as_u64)
-            .ok_or("missing \"max_rounds\"")?;
-        let max_ticks = json
-            .get("max_ticks")
-            .and_then(Json::as_u64)
-            .ok_or("missing \"max_ticks\"")?;
-        let byzantine = json.get("byzantine").and_then(Json::as_usize);
-        let attack = json
-            .get("attack")
-            .and_then(Json::as_str)
-            .map(|s| s.to_string());
-        let network = match json.get("network") {
-            Some(net) => Some(network_from_json(net)?),
-            None => None,
-        };
-        let faults = match json.get("faults").and_then(Json::as_arr) {
-            Some(items) => items
-                .iter()
-                .map(fault_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        let adversary = adversary_from_json(json.get("adversary"))?;
-        let sabotage_commit_threshold =
-            json.get("sabotage_commit_threshold").and_then(Json::as_usize);
-        let storage_policy = match json.get("storage_policy").and_then(Json::as_str) {
-            Some(name) => Some(
-                StoragePolicy::from_name(name)
-                    .ok_or_else(|| format!("unknown storage_policy {name:?}"))?,
-            ),
-            None => None,
-        };
-        // Pre-gray-failure artifacts carry neither field: default to
-        // nominal clocks and instantaneous fsync (backward compat).
-        let clock_rates = match json.get("clock_rates").and_then(Json::as_arr) {
-            Some(items) => items
-                .iter()
-                .map(|c| {
-                    let p = c
-                        .get("p")
-                        .and_then(Json::as_usize)
-                        .ok_or("clock_rates entry missing \"p\"")?;
-                    let rate = c
-                        .get("rate_percent")
-                        .and_then(Json::as_u64)
-                        .ok_or("clock_rates entry missing \"rate_percent\"")?;
-                    let rate = u32::try_from(rate)
-                        .map_err(|_| format!("clock rate_percent {rate} exceeds {}", u32::MAX))?;
-                    Ok((p, rate))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
-        };
-        let sync_latency = json.get("sync_latency").and_then(Json::as_u64).unwrap_or(0);
-        let reliability = match json.get("reliability") {
-            Some(r) => reliability_from_json(r)?,
-            // Artifacts written before the reliable-delivery layer
-            // existed carry no field: fire-and-forget (backward compat).
-            None => ReliabilityPolicy::Off,
-        };
-        let stalled_since = json.get("stalled_since").and_then(Json::as_u64);
-        let violation = json.get("violation").map(|v| {
-            ViolationSummary {
-                kind: v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                round: v.get("round").and_then(Json::as_u64),
-                detail: v
-                    .get("detail")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-            }
-        });
-        let artifact = FailureArtifact {
-            algorithm: alg,
-            n,
-            t,
-            byzantine,
-            attack,
-            seed,
-            inputs,
-            max_rounds,
-            max_ticks,
-            network,
-            faults,
-            adversary,
-            sabotage_commit_threshold,
-            storage_policy,
-            clock_rates,
-            sync_latency,
-            reliability,
-            stalled_since,
-            violation,
-        };
+        let artifact = Self::decode(json, At::new("", "artifact"))?;
         artifact.validate()?;
         Ok(artifact)
     }
@@ -547,11 +373,12 @@ impl FailureArtifact {
     /// faults, clock rates, link overrides and partition or flapping
     /// groups, no restarts for the crash-stop protocols, and a fault plan
     /// the engine accepts (every restart follows a crash of its process).
-    /// Phase-King also needs binary inputs, crashes on honest ids only,
-    /// and Byzantine plus crashed processes within `t`. Retransmit knobs
-    /// must keep the engine's backoff arithmetic in range: jitter at most
-    /// 1000‰ and RTOs within `u32::MAX` ticks. The shrinker offers only
-    /// candidates that pass this check.
+    /// Phase-King also needs an attack [`parse_attack`](Self::parse_attack)
+    /// knows, binary inputs, crashes on honest ids only, and Byzantine plus
+    /// crashed processes within `t`. Retransmit knobs must keep the
+    /// engine's backoff arithmetic in range: jitter at most 1000‰ and RTOs
+    /// within `u32::MAX` ticks. The shrinker offers only candidates that
+    /// pass this check.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let (alg, n, t) = (self.algorithm.name(), self.n, self.t);
         let bound = match self.algorithm {
@@ -626,6 +453,7 @@ impl FailureArtifact {
             }
         }
         if self.algorithm == Algorithm::PhaseKing {
+            self.parse_attack()?;
             if self.inputs.iter().any(|&v| v > 1) {
                 return Err("phase-king inputs must be binary".into());
             }
@@ -660,445 +488,549 @@ impl FailureArtifact {
     }
 }
 
-fn delay_to_json(delay: &DelayModel) -> Json {
-    match *delay {
-        DelayModel::Fixed(ticks) => Json::Obj(vec![
-            ("model".into(), Json::Str("fixed".into())),
-            ("ticks".into(), Json::U64(ticks)),
-        ]),
-        DelayModel::Uniform { min, max } => Json::Obj(vec![
-            ("model".into(), Json::Str("uniform".into())),
-            ("min".into(), Json::U64(min)),
-            ("max".into(), Json::U64(max)),
-        ]),
-        DelayModel::Exponential { mean } => Json::Obj(vec![
-            ("model".into(), Json::Str("exponential".into())),
-            ("mean".into(), Json::U64(mean)),
-        ]),
-        DelayModel::HeavyTailed {
-            floor,
-            alpha_milli,
-            cap,
-        } => Json::Obj(vec![
-            ("model".into(), Json::Str("heavy-tailed".into())),
-            ("floor".into(), Json::U64(floor)),
-            ("alpha_milli".into(), Json::U64(alpha_milli)),
-            ("cap".into(), Json::U64(cap)),
-        ]),
+
+/// Where a value sits in an artifact, for error messages: the object
+/// that holds it (empty at the top level) and its key.
+#[derive(Clone, Copy)]
+pub(crate) struct At<'a> {
+    object: &'a str,
+    key: &'a str,
+}
+
+impl<'a> At<'a> {
+    /// The value at `key` of `object`.
+    pub(crate) fn new(object: &'a str, key: &'a str) -> Self {
+        At { object, key }
     }
 }
 
-fn delay_from_json(delay_json: &Json) -> Result<DelayModel, String> {
-    match delay_json.get("model").and_then(Json::as_str) {
-        Some("fixed") => Ok(DelayModel::Fixed(
-            delay_json
-                .get("ticks")
-                .and_then(Json::as_u64)
-                .ok_or("fixed delay missing \"ticks\"")?,
-        )),
-        Some("uniform") => Ok(DelayModel::Uniform {
-            min: delay_json
-                .get("min")
-                .and_then(Json::as_u64)
-                .ok_or("uniform delay missing \"min\"")?,
-            max: delay_json
-                .get("max")
-                .and_then(Json::as_u64)
-                .ok_or("uniform delay missing \"max\"")?,
-        }),
-        Some("exponential") => Ok(DelayModel::Exponential {
-            mean: delay_json
-                .get("mean")
-                .and_then(Json::as_u64)
-                .ok_or("exponential delay missing \"mean\"")?,
-        }),
-        Some("heavy-tailed") => Ok(DelayModel::HeavyTailed {
-            floor: delay_json
-                .get("floor")
-                .and_then(Json::as_u64)
-                .ok_or("heavy-tailed delay missing \"floor\"")?,
-            alpha_milli: delay_json
-                .get("alpha_milli")
-                .and_then(Json::as_u64)
-                .ok_or("heavy-tailed delay missing \"alpha_milli\"")?,
-            cap: delay_json
-                .get("cap")
-                .and_then(Json::as_u64)
-                .ok_or("heavy-tailed delay missing \"cap\"")?,
-        }),
-        _ => Err("unknown delay model".to_string()),
-    }
-}
-
-fn groups_to_json(groups: &[Vec<ProcessId>]) -> Json {
-    Json::Arr(
-        groups
-            .iter()
-            .map(|g| Json::Arr(g.iter().map(|p| Json::U64(p.index() as u64)).collect()))
-            .collect(),
-    )
-}
-
-fn groups_from_json(json: &Json) -> Result<Vec<Vec<ProcessId>>, String> {
-    json.as_arr()
-        .ok_or("\"groups\" must be an array")?
-        .iter()
-        .map(|g| {
-            g.as_arr()
-                .ok_or("partition group must be an array")?
-                .iter()
-                .map(|id| {
-                    id.as_usize()
-                        .map(ProcessId)
-                        .ok_or_else(|| "partition group member must be a process id".to_string())
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn network_to_json(net: &NetworkConfig) -> Json {
-    let delay = delay_to_json(&net.delay);
-    let partitions = net
-        .partitions
-        .iter()
-        .map(|w| {
-            Json::Obj(vec![
-                ("from".into(), Json::U64(w.from.ticks())),
-                ("until".into(), Json::U64(w.until.ticks())),
-                ("groups".into(), groups_to_json(&w.groups)),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("delay".into(), delay),
-        ("drop_probability".into(), Json::F64(net.drop_probability)),
-        (
-            "duplicate_probability".into(),
-            Json::F64(net.duplicate_probability),
-        ),
-        ("fifo_links".into(), Json::Bool(net.fifo_links)),
-        ("self_delay".into(), Json::U64(net.self_delay.ticks())),
-        ("partitions".into(), Json::Arr(partitions)),
-    ];
-    // Gray-failure extensions are emitted only when present so artifacts
-    // written by older tools stay byte-identical on round-trip.
-    if !net.link_overrides.is_empty() {
-        fields.push((
-            "link_overrides".into(),
-            Json::Arr(
-                net.link_overrides
-                    .iter()
-                    .map(|l| {
-                        let mut o = vec![
-                            ("from".into(), Json::U64(l.from.index() as u64)),
-                            ("to".into(), Json::U64(l.to.index() as u64)),
-                        ];
-                        if let Some(p) = l.drop_probability {
-                            o.push(("drop_probability".into(), Json::F64(p)));
-                        }
-                        if let Some(d) = &l.delay {
-                            o.push(("delay".into(), delay_to_json(d)));
-                        }
-                        Json::Obj(o)
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    if !net.flapping.is_empty() {
-        fields.push((
-            "flapping".into(),
-            Json::Arr(
-                net.flapping
-                    .iter()
-                    .map(|f| {
-                        Json::Obj(vec![
-                            ("from".into(), Json::U64(f.from.ticks())),
-                            ("until".into(), Json::U64(f.until.ticks())),
-                            ("period".into(), Json::U64(f.period)),
-                            ("partitioned".into(), Json::U64(f.partitioned)),
-                            ("groups".into(), groups_to_json(&f.groups)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Obj(fields)
-}
-
-fn network_from_json(json: &Json) -> Result<NetworkConfig, String> {
-    let delay_json = json.get("delay").ok_or("network missing \"delay\"")?;
-    let delay = delay_from_json(delay_json)?;
-    let partitions = match json.get("partitions").and_then(Json::as_arr) {
-        Some(items) => items
-            .iter()
-            .map(|w| {
-                Ok(PartitionWindow {
-                    from: SimTime::from_ticks(
-                        w.get("from")
-                            .and_then(Json::as_u64)
-                            .ok_or("partition missing \"from\"")?,
-                    ),
-                    until: SimTime::from_ticks(
-                        w.get("until")
-                            .and_then(Json::as_u64)
-                            .ok_or("partition missing \"until\"")?,
-                    ),
-                    groups: groups_from_json(
-                        w.get("groups").ok_or("partition missing \"groups\"")?,
-                    )?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        None => Vec::new(),
-    };
-    let link_overrides = match json.get("link_overrides").and_then(Json::as_arr) {
-        Some(items) => items
-            .iter()
-            .map(|l| {
-                Ok(LinkOverride {
-                    from: ProcessId(
-                        l.get("from")
-                            .and_then(Json::as_usize)
-                            .ok_or("link override missing \"from\"")?,
-                    ),
-                    to: ProcessId(
-                        l.get("to")
-                            .and_then(Json::as_usize)
-                            .ok_or("link override missing \"to\"")?,
-                    ),
-                    drop_probability: l.get("drop_probability").and_then(Json::as_f64),
-                    delay: match l.get("delay") {
-                        Some(d) => Some(delay_from_json(d)?),
-                        None => None,
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        None => Vec::new(),
-    };
-    let flapping = match json.get("flapping").and_then(Json::as_arr) {
-        Some(items) => items
-            .iter()
-            .map(|f| {
-                Ok(FlappingPartition {
-                    from: SimTime::from_ticks(
-                        f.get("from")
-                            .and_then(Json::as_u64)
-                            .ok_or("flapping missing \"from\"")?,
-                    ),
-                    until: SimTime::from_ticks(
-                        f.get("until")
-                            .and_then(Json::as_u64)
-                            .ok_or("flapping missing \"until\"")?,
-                    ),
-                    period: f
-                        .get("period")
-                        .and_then(Json::as_u64)
-                        .ok_or("flapping missing \"period\"")?,
-                    partitioned: f
-                        .get("partitioned")
-                        .and_then(Json::as_u64)
-                        .ok_or("flapping missing \"partitioned\"")?,
-                    groups: groups_from_json(
-                        f.get("groups").ok_or("flapping missing \"groups\"")?,
-                    )?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        None => Vec::new(),
-    };
-    Ok(NetworkConfig {
-        delay,
-        drop_probability: json
-            .get("drop_probability")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0),
-        duplicate_probability: json
-            .get("duplicate_probability")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0),
-        fifo_links: json
-            .get("fifo_links")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-        self_delay: SimDuration::from_ticks(
-            json.get("self_delay").and_then(Json::as_u64).unwrap_or(0),
-        ),
-        partitions,
-        link_overrides,
-        flapping,
-    })
-}
-
-fn fault_to_json(f: &FaultSpec) -> Json {
-    match *f {
-        FaultSpec::CrashAt { p, tick } => Json::Obj(vec![
-            ("kind".into(), Json::Str("crash-at".into())),
-            ("p".into(), Json::U64(p as u64)),
-            ("tick".into(), Json::U64(tick)),
-        ]),
-        FaultSpec::CrashAfterEvents { p, events } => Json::Obj(vec![
-            ("kind".into(), Json::Str("crash-after-events".into())),
-            ("p".into(), Json::U64(p as u64)),
-            ("events".into(), Json::U64(events)),
-        ]),
-        FaultSpec::RestartAt { p, tick } => Json::Obj(vec![
-            ("kind".into(), Json::Str("restart-at".into())),
-            ("p".into(), Json::U64(p as u64)),
-            ("tick".into(), Json::U64(tick)),
-        ]),
-        FaultSpec::CrashAtRound { p, round } => Json::Obj(vec![
-            ("kind".into(), Json::Str("crash-at-round".into())),
-            ("p".into(), Json::U64(p as u64)),
-            ("round".into(), Json::U64(round)),
-        ]),
-    }
-}
-
-fn fault_from_json(json: &Json) -> Result<FaultSpec, String> {
-    let p = json
-        .get("p")
-        .and_then(Json::as_usize)
-        .ok_or("fault missing \"p\"")?;
-    match json.get("kind").and_then(Json::as_str) {
-        Some("crash-at") => Ok(FaultSpec::CrashAt {
-            p,
-            tick: json
-                .get("tick")
-                .and_then(Json::as_u64)
-                .ok_or("crash-at missing \"tick\"")?,
-        }),
-        Some("crash-after-events") => Ok(FaultSpec::CrashAfterEvents {
-            p,
-            events: json
-                .get("events")
-                .and_then(Json::as_u64)
-                .ok_or("crash-after-events missing \"events\"")?,
-        }),
-        Some("restart-at") => Ok(FaultSpec::RestartAt {
-            p,
-            tick: json
-                .get("tick")
-                .and_then(Json::as_u64)
-                .ok_or("restart-at missing \"tick\"")?,
-        }),
-        Some("crash-at-round") => Ok(FaultSpec::CrashAtRound {
-            p,
-            round: json
-                .get("round")
-                .and_then(Json::as_u64)
-                .ok_or("crash-at-round missing \"round\"")?,
-        }),
-        _ => Err("unknown fault kind".to_string()),
-    }
-}
-
-fn adversary_to_json(spec: AdversarySpec) -> Json {
-    match spec {
-        AdversarySpec::None => Json::Obj(vec![("kind".into(), Json::Str("none".into()))]),
-        AdversarySpec::SplitVote {
-            until_ticks,
-            slow_ticks,
-        } => Json::Obj(vec![
-            ("kind".into(), Json::Str("split-vote".into())),
-            ("until_ticks".into(), Json::U64(until_ticks)),
-            ("slow_ticks".into(), Json::U64(slow_ticks)),
-        ]),
-        AdversarySpec::LeaderFlap {
-            isolation_ticks,
-            max_flaps,
-        } => Json::Obj(vec![
-            ("kind".into(), Json::Str("leader-flap".into())),
-            ("isolation_ticks".into(), Json::U64(isolation_ticks)),
-            ("max_flaps".into(), Json::U64(max_flaps)),
-        ]),
-        AdversarySpec::StateSplitVote { until_ticks } => Json::Obj(vec![
-            ("kind".into(), Json::Str("state-split-vote".into())),
-            ("until_ticks".into(), Json::U64(until_ticks)),
-        ]),
-        AdversarySpec::QuorumFlap {
-            until_ticks,
-            period,
-        } => Json::Obj(vec![
-            ("kind".into(), Json::Str("quorum-flap".into())),
-            ("until_ticks".into(), Json::U64(until_ticks)),
-            ("period".into(), Json::U64(period)),
-        ]),
-    }
-}
-
-fn reliability_from_json(json: &Json) -> Result<ReliabilityPolicy, String> {
-    match json.get("policy").and_then(Json::as_str) {
-        Some("off") => Ok(ReliabilityPolicy::Off),
-        Some("retransmit") => {
-            // Missing knobs fall back to the engine defaults so artifacts
-            // can pin only the values they care about.
-            let d = RetransmitConfig::default();
-            let u = |key: &str, default: u64| {
-                json.get(key).and_then(Json::as_u64).unwrap_or(default)
-            };
-            let max_retries = u("max_retries", d.max_retries.into());
-            Ok(ReliabilityPolicy::Retransmit(RetransmitConfig {
-                rto_initial: u("rto_initial", d.rto_initial),
-                rto_max: u("rto_max", d.rto_max),
-                jitter_permille: u("jitter_permille", d.jitter_permille),
-                max_retries: u32::try_from(max_retries).map_err(|_| {
-                    format!("reliability max_retries {max_retries} exceeds {}", u32::MAX)
-                })?,
-                buffer_capacity: u("buffer_capacity", d.buffer_capacity as u64) as usize,
-                ack_delay: u("ack_delay", d.ack_delay),
-            }))
+impl fmt::Display for At<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.object.is_empty() {
+            f.write_str(self.key)
+        } else {
+            write!(f, "{} {}", self.object, self.key)
         }
-        other => Err(format!("unknown reliability policy {other:?}")),
     }
 }
 
-fn adversary_from_json(json: Option<&Json>) -> Result<AdversarySpec, String> {
-    let Some(json) = json else {
-        return Ok(AdversarySpec::None);
+/// A type the artifact format writes and reads. Reports write through it
+/// too.
+pub(crate) trait Codec: Sized {
+    /// The value as JSON.
+    fn encode(&self) -> Json;
+    /// Reads a value that [`encode`](Codec::encode) wrote. An error names
+    /// `at`, so a value of the wrong type or range says where it sits.
+    fn decode(json: &Json, at: At) -> Result<Self, String>;
+}
+
+/// One object entry: `key` and the encoded `value`.
+pub(crate) fn field(key: &str, value: &impl Codec) -> (String, Json) {
+    (key.to_string(), value.encode())
+}
+
+/// The fields of one JSON object, which error messages call `name`.
+/// Every read follows one rule: an absent key reads as the caller's
+/// default, or fails with `<name> missing "<key>"` when there is none; a
+/// present key decodes, or fails with an error naming the key.
+struct Fields<'a> {
+    name: &'a str,
+    json: &'a Json,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields of `json`, which must be an object.
+    fn of(name: &'a str, json: &'a Json, at: At) -> Result<Self, String> {
+        match json {
+            Json::Obj(_) => Ok(Fields { name, json }),
+            _ => Err(format!("{at} must be an object")),
+        }
+    }
+
+    /// The value at `key`, which must be present.
+    fn req<T: Codec>(&self, key: &str) -> Result<T, String> {
+        match self.json.get(key) {
+            Some(value) => T::decode(value, At::new(self.name, key)),
+            None if self.name.is_empty() => Err(format!("missing \"{key}\"")),
+            None => Err(format!("{} missing \"{key}\"", self.name)),
+        }
+    }
+
+    /// The value at `key`, or `default` when it is absent.
+    fn or<T: Codec>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.json.get(key) {
+            Some(value) => T::decode(value, At::new(self.name, key)),
+            None => Ok(default),
+        }
+    }
+}
+
+impl Codec for u64 {
+    fn encode(&self) -> Json {
+        Json::U64(*self)
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        json.as_u64()
+            .ok_or_else(|| format!("{at} must be an unsigned integer"))
+    }
+}
+
+/// Reads an unsigned integer that must fit a narrower type.
+fn narrow<T: TryFrom<u64>>(json: &Json, at: At, max: impl fmt::Display) -> Result<T, String> {
+    let value = u64::decode(json, at)?;
+    T::try_from(value).map_err(|_| format!("{at} {value} exceeds {max}"))
+}
+
+impl Codec for usize {
+    fn encode(&self) -> Json {
+        Json::U64(*self as u64)
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        narrow(json, at, usize::MAX)
+    }
+}
+
+impl Codec for u32 {
+    fn encode(&self) -> Json {
+        Json::U64(u64::from(*self))
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        narrow(json, at, u32::MAX)
+    }
+}
+
+impl Codec for f64 {
+    fn encode(&self) -> Json {
+        Json::F64(*self)
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        json.as_f64().ok_or_else(|| format!("{at} must be a number"))
+    }
+}
+
+impl Codec for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        json.as_bool().ok_or_else(|| format!("{at} must be a boolean"))
+    }
+}
+
+impl Codec for String {
+    fn encode(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        json.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("{at} must be a string"))
+    }
+}
+
+impl Codec for SimTime {
+    fn encode(&self) -> Json {
+        self.ticks().encode()
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        u64::decode(json, at).map(SimTime::from_ticks)
+    }
+}
+
+impl Codec for SimDuration {
+    fn encode(&self) -> Json {
+        self.ticks().encode()
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        u64::decode(json, at).map(SimDuration::from_ticks)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::encode)
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        match json {
+            Json::Null => Ok(None),
+            _ => T::decode(json, at).map(Some),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(T::encode).collect())
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        let items = json
+            .as_arr()
+            .ok_or_else(|| format!("{at} must be an array"))?;
+        items.iter().map(|item| T::decode(item, at)).collect()
+    }
+}
+
+/// A partition or flapping group: an array of process ids.
+impl Codec for Vec<ProcessId> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(|p| p.index().encode()).collect())
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        let object = at.object;
+        let members = json
+            .as_arr()
+            .ok_or_else(|| format!("{object} group must be an array"))?;
+        let member = |id: &Json| id.as_usize().map(ProcessId);
+        members
+            .iter()
+            .map(|id| member(id).ok_or_else(|| format!("{object} group member must be a process id")))
+            .collect()
+    }
+}
+
+/// Reads a value written as one of a fixed set of names.
+fn named<T>(json: &Json, at: At, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+    let name = json
+        .as_str()
+        .ok_or_else(|| format!("{at} must be a string"))?;
+    parse(name).ok_or_else(|| format!("unknown {at} {name:?}"))
+}
+
+impl Codec for Algorithm {
+    fn encode(&self) -> Json {
+        Json::Str(self.name().into())
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        named(json, at, Algorithm::parse)
+    }
+}
+
+impl Codec for StoragePolicy {
+    fn encode(&self) -> Json {
+        Json::Str(self.name().into())
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        named(json, at, StoragePolicy::from_name)
+    }
+}
+
+/// An enum written as an object: the `TAG` key names the variant, and
+/// the variant's fields follow, all unsigned integers and all required.
+/// One `(tag, field names)` row per variant drives both directions.
+trait Tagged: Sized {
+    /// What the object is called in error messages.
+    const NAME: &'static str;
+    /// The key that names the variant.
+    const TAG: &'static str;
+    /// Each variant's tag and field names, in written order.
+    const VARIANTS: &'static [(&'static str, &'static [&'static str])];
+    /// The row of this value's variant and its field values, in the
+    /// row's order (unused slots are zero).
+    fn split(&self) -> (usize, [u64; 3]);
+    /// The variant in row `row` with these field values.
+    fn join(row: usize, values: [u64; 3]) -> Self;
+}
+
+impl<T: Tagged> Codec for T {
+    fn encode(&self) -> Json {
+        let (row, values) = self.split();
+        let (tag, keys) = T::VARIANTS[row];
+        let mut fields = vec![(T::TAG.to_string(), Json::Str(tag.into()))];
+        fields.extend(keys.iter().zip(&values).map(|(key, v)| field(key, v)));
+        Json::Obj(fields)
+    }
+
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        let fields = Fields::of(T::NAME, json, at)?;
+        let tag: String = fields.req(T::TAG)?;
+        let row = T::VARIANTS
+            .iter()
+            .position(|&(name, _)| name == tag)
+            .ok_or_else(|| format!("unknown {} {tag:?}", At::new(T::NAME, T::TAG)))?;
+        let (name, keys) = T::VARIANTS[row];
+        let fields = Fields { name, ..fields };
+        let mut values = [0; 3];
+        for (value, key) in values.iter_mut().zip(keys) {
+            *value = fields.req(key)?;
+        }
+        Ok(T::join(row, values))
+    }
+}
+
+impl Tagged for DelayModel {
+    const NAME: &'static str = "delay";
+    const TAG: &'static str = "model";
+    const VARIANTS: &'static [(&'static str, &'static [&'static str])] = &[
+        ("fixed", &["ticks"]),
+        ("uniform", &["min", "max"]),
+        ("exponential", &["mean"]),
+        ("heavy-tailed", &["floor", "alpha_milli", "cap"]),
+    ];
+    fn split(&self) -> (usize, [u64; 3]) {
+        match *self {
+            DelayModel::Fixed(ticks) => (0, [ticks, 0, 0]),
+            DelayModel::Uniform { min, max } => (1, [min, max, 0]),
+            DelayModel::Exponential { mean } => (2, [mean, 0, 0]),
+            DelayModel::HeavyTailed {
+                floor,
+                alpha_milli,
+                cap,
+            } => (3, [floor, alpha_milli, cap]),
+        }
+    }
+    fn join(row: usize, [a, b, c]: [u64; 3]) -> Self {
+        match row {
+            0 => DelayModel::Fixed(a),
+            1 => DelayModel::Uniform { min: a, max: b },
+            2 => DelayModel::Exponential { mean: a },
+            _ => DelayModel::HeavyTailed {
+                floor: a,
+                alpha_milli: b,
+                cap: c,
+            },
+        }
+    }
+}
+
+impl Tagged for FaultSpec {
+    const NAME: &'static str = "fault";
+    const TAG: &'static str = "kind";
+    const VARIANTS: &'static [(&'static str, &'static [&'static str])] = &[
+        ("crash-at", &["p", "tick"]),
+        ("crash-after-events", &["p", "events"]),
+        ("restart-at", &["p", "tick"]),
+        ("crash-at-round", &["p", "round"]),
+    ];
+    fn split(&self) -> (usize, [u64; 3]) {
+        let (row, value) = match *self {
+            FaultSpec::CrashAt { tick, .. } => (0, tick),
+            FaultSpec::CrashAfterEvents { events, .. } => (1, events),
+            FaultSpec::RestartAt { tick, .. } => (2, tick),
+            FaultSpec::CrashAtRound { round, .. } => (3, round),
+        };
+        (row, [self.process() as u64, value, 0])
+    }
+    fn join(row: usize, [p, value, _]: [u64; 3]) -> Self {
+        let p = p as usize;
+        match row {
+            0 => FaultSpec::CrashAt { p, tick: value },
+            1 => FaultSpec::CrashAfterEvents { p, events: value },
+            2 => FaultSpec::RestartAt { p, tick: value },
+            _ => FaultSpec::CrashAtRound { p, round: value },
+        }
+    }
+}
+
+impl Tagged for AdversarySpec {
+    const NAME: &'static str = "adversary";
+    const TAG: &'static str = "kind";
+    const VARIANTS: &'static [(&'static str, &'static [&'static str])] = &[
+        ("none", &[]),
+        ("split-vote", &["until_ticks", "slow_ticks"]),
+        ("leader-flap", &["isolation_ticks", "max_flaps"]),
+        ("state-split-vote", &["until_ticks"]),
+        ("quorum-flap", &["until_ticks", "period"]),
+    ];
+    fn split(&self) -> (usize, [u64; 3]) {
+        match *self {
+            AdversarySpec::None => (0, [0; 3]),
+            AdversarySpec::SplitVote {
+                until_ticks,
+                slow_ticks,
+            } => (1, [until_ticks, slow_ticks, 0]),
+            AdversarySpec::LeaderFlap {
+                isolation_ticks,
+                max_flaps,
+            } => (2, [isolation_ticks, max_flaps, 0]),
+            AdversarySpec::StateSplitVote { until_ticks } => (3, [until_ticks, 0, 0]),
+            AdversarySpec::QuorumFlap {
+                until_ticks,
+                period,
+            } => (4, [until_ticks, period, 0]),
+        }
+    }
+    fn join(row: usize, [a, b, _]: [u64; 3]) -> Self {
+        match row {
+            0 => AdversarySpec::None,
+            1 => AdversarySpec::SplitVote {
+                until_ticks: a,
+                slow_ticks: b,
+            },
+            2 => AdversarySpec::LeaderFlap {
+                isolation_ticks: a,
+                max_flaps: b,
+            },
+            3 => AdversarySpec::StateSplitVote { until_ticks: a },
+            _ => AdversarySpec::QuorumFlap {
+                until_ticks: a,
+                period: b,
+            },
+        }
+    }
+}
+
+/// Implements [`Codec`] for a struct from one row per field, in written
+/// order. A field's key is its name, and its rule says when it is
+/// written and how its absence reads:
+///
+/// - `req`: always written; an error when absent;
+/// - `all`: always written; absent reads as the default's value;
+/// - `opt`: written only when it differs from the default's value, and
+///   absent reads as that value.
+///
+/// The default follows the type when a row needs one.
+macro_rules! object_codec {
+    ($ty:ident $(= $default:expr)?, $name:literal, [$($field:ident $rule:ident),+ $(,)?]) => {
+        impl Codec for $ty {
+            fn encode(&self) -> Json {
+                $(#[allow(unused_variables)] let default: $ty = $default;)?
+                let fields = [$(object_codec!(@write $rule, stringify!($field), self.$field, default.$field)),+];
+                Json::Obj(fields.into_iter().flatten().collect())
+            }
+
+            fn decode(json: &Json, at: At) -> Result<Self, String> {
+                let fields = Fields::of($name, json, at)?;
+                $(let default: $ty = $default;)?
+                Ok($ty {
+                    $($field: object_codec!(@read $rule, fields, $field, default.$field),)+
+                })
+            }
+        }
     };
-    match json.get("kind").and_then(Json::as_str) {
-        None | Some("none") => Ok(AdversarySpec::None),
-        Some("split-vote") => Ok(AdversarySpec::SplitVote {
-            until_ticks: json
-                .get("until_ticks")
-                .and_then(Json::as_u64)
-                .ok_or("split-vote missing \"until_ticks\"")?,
-            slow_ticks: json
-                .get("slow_ticks")
-                .and_then(Json::as_u64)
-                .ok_or("split-vote missing \"slow_ticks\"")?,
-        }),
-        Some("leader-flap") => Ok(AdversarySpec::LeaderFlap {
-            isolation_ticks: json
-                .get("isolation_ticks")
-                .and_then(Json::as_u64)
-                .ok_or("leader-flap missing \"isolation_ticks\"")?,
-            max_flaps: json
-                .get("max_flaps")
-                .and_then(Json::as_u64)
-                .ok_or("leader-flap missing \"max_flaps\"")?,
-        }),
-        Some("state-split-vote") => Ok(AdversarySpec::StateSplitVote {
-            until_ticks: json
-                .get("until_ticks")
-                .and_then(Json::as_u64)
-                .ok_or("state-split-vote missing \"until_ticks\"")?,
-        }),
-        Some("quorum-flap") => Ok(AdversarySpec::QuorumFlap {
-            until_ticks: json
-                .get("until_ticks")
-                .and_then(Json::as_u64)
-                .ok_or("quorum-flap missing \"until_ticks\"")?,
-            period: json
-                .get("period")
-                .and_then(Json::as_u64)
-                .ok_or("quorum-flap missing \"period\"")?,
-        }),
-        Some(other) => Err(format!("unknown adversary kind {other:?}")),
+    (@write opt, $key:expr, $value:expr, $default:expr) => {
+        ($value != $default).then(|| field($key, &$value))
+    };
+    (@write $rule:ident, $key:expr, $value:expr, $default:expr) => {
+        Some(field($key, &$value))
+    };
+    (@read req, $fields:ident, $field:ident, $default:expr) => { $fields.req(stringify!($field))? };
+    (@read $rule:ident, $fields:ident, $field:ident, $default:expr) => {
+        $fields.or(stringify!($field), $default)?
+    };
+}
+
+object_codec!(FailureArtifact = FailureArtifact::clean(Algorithm::BenOr, 0, 0, 0, Vec::new()), "", [
+    algorithm req,
+    n req,
+    t req,
+    seed req,
+    inputs req,
+    max_rounds req,
+    max_ticks req,
+    byzantine opt,
+    attack opt,
+    network opt,
+    faults opt,
+    adversary all,
+    sabotage_commit_threshold opt,
+    storage_policy opt,
+    clock_rates opt,
+    sync_latency opt,
+    reliability opt,
+    stalled_since opt,
+    violation opt,
+]);
+
+// A network that leaves a key out has no loss, duplication, FIFO order,
+// self-delay, partitions or gray links.
+object_codec!(NetworkConfig = NetworkConfig {
+    self_delay: SimDuration::ZERO,
+    ..NetworkConfig::reliable(0)
+}, "network", [
+    delay req,
+    drop_probability all,
+    duplicate_probability all,
+    fifo_links all,
+    self_delay all,
+    partitions all,
+    link_overrides opt,
+    flapping opt,
+]);
+
+object_codec!(PartitionWindow, "partition", [from req, until req, groups req]);
+
+object_codec!(FlappingPartition, "flapping", [
+    from req,
+    until req,
+    period req,
+    partitioned req,
+    groups req,
+]);
+
+// A Retransmit policy that leaves a knob out gets the engine default.
+object_codec!(RetransmitConfig = RetransmitConfig::default(), "reliability", [
+    rto_initial all,
+    rto_max all,
+    jitter_permille all,
+    max_retries all,
+    buffer_capacity all,
+    ack_delay all,
+]);
+
+object_codec!(ViolationSummary = ViolationSummary {
+    kind: "unknown".into(),
+    round: None,
+    detail: String::new(),
+}, "violation", [kind all, round all, detail all]);
+
+/// A directed link's overrides; its endpoints are process ids.
+impl Codec for LinkOverride {
+    fn encode(&self) -> Json {
+        let mut fields = vec![field("from", &self.from.index()), field("to", &self.to.index())];
+        if let Some(p) = &self.drop_probability {
+            fields.push(field("drop_probability", p));
+        }
+        if let Some(delay) = &self.delay {
+            fields.push(field("delay", delay));
+        }
+        Json::Obj(fields)
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        let fields = Fields::of("link override", json, at)?;
+        Ok(LinkOverride {
+            from: ProcessId(fields.req("from")?),
+            to: ProcessId(fields.req("to")?),
+            drop_probability: fields.or("drop_probability", None)?,
+            delay: fields.or("delay", None)?,
+        })
+    }
+}
+
+/// A clock rate: a process and its rate in percent of nominal.
+impl Codec for (usize, u32) {
+    fn encode(&self) -> Json {
+        Json::Obj(vec![field("p", &self.0), field("rate_percent", &self.1)])
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        let fields = Fields::of("clock", json, at)?;
+        Ok((fields.req("p")?, fields.req("rate_percent")?))
+    }
+}
+
+/// `{"policy": "off"}`, or `"retransmit"` followed by its knobs.
+impl Codec for ReliabilityPolicy {
+    fn encode(&self) -> Json {
+        let mut fields = Vec::new();
+        let policy = match self {
+            ReliabilityPolicy::Off => "off",
+            ReliabilityPolicy::Retransmit(cfg) => {
+                if let Json::Obj(knobs) = cfg.encode() {
+                    fields = knobs;
+                }
+                "retransmit"
+            }
+        };
+        fields.insert(0, ("policy".to_string(), Json::Str(policy.into())));
+        Json::Obj(fields)
+    }
+    fn decode(json: &Json, at: At) -> Result<Self, String> {
+        let fields = Fields::of("reliability", json, at)?;
+        match fields.req::<String>("policy")?.as_str() {
+            "off" => Ok(ReliabilityPolicy::Off),
+            "retransmit" => RetransmitConfig::decode(json, at).map(ReliabilityPolicy::Retransmit),
+            other => Err(format!("unknown {} {other:?}", At::new("reliability", "policy"))),
+        }
     }
 }
 
@@ -1110,13 +1042,6 @@ mod tests {
     /// the restart entry passes validation.
     fn sample() -> FailureArtifact {
         FailureArtifact {
-            algorithm: Algorithm::Raft,
-            n: 5,
-            t: 2,
-            byzantine: None,
-            attack: None,
-            seed: 0xDEAD_BEEF_CAFE_F00D,
-            inputs: vec![0, 1, 0, 1, 0],
             max_rounds: 64,
             max_ticks: 100_000,
             network: Some(NetworkConfig {
@@ -1147,15 +1072,18 @@ mod tests {
             },
             sabotage_commit_threshold: Some(2),
             storage_policy: Some(StoragePolicy::Amnesia),
-            clock_rates: Vec::new(),
-            sync_latency: 0,
-            reliability: ReliabilityPolicy::Off,
-            stalled_since: None,
             violation: Some(ViolationSummary {
                 kind: "agreement".into(),
                 round: Some(3),
                 detail: "p0 decided true but p4 decided false".into(),
             }),
+            ..FailureArtifact::clean(
+                Algorithm::Raft,
+                5,
+                2,
+                0xDEAD_BEEF_CAFE_F00D,
+                vec![0, 1, 0, 1, 0],
+            )
         }
     }
 
@@ -1346,6 +1274,20 @@ mod tests {
                 }),
                 "rto_initial 9223372036854775808 exceeds 4294967295",
             ),
+            (
+                FailureArtifact {
+                    attack: Some("bogus".into()),
+                    ..with(Algorithm::PhaseKing, 7, 2, Some(1), vec![])
+                },
+                "unknown attack \"bogus\"",
+            ),
+            (
+                FailureArtifact {
+                    attack: Some("fixed:x".into()),
+                    ..with(Algorithm::PhaseKing, 7, 2, Some(1), vec![])
+                },
+                "unknown attack \"fixed:x\"",
+            ),
         ];
         for (art, expected) in cases {
             assert!(
@@ -1440,29 +1382,15 @@ mod tests {
     #[test]
     fn minimal_artifact_round_trips() {
         let art = FailureArtifact {
-            algorithm: Algorithm::PhaseKing,
-            n: 7,
-            t: 2,
             byzantine: Some(1),
             attack: Some("fixed:1".into()),
-            seed: 3,
-            inputs: vec![0, 1, 0, 1, 0, 1],
             max_rounds: 6,
-            max_ticks: 0,
-            network: None,
             faults: vec![FaultSpec::CrashAtRound { p: 3, round: 4 }],
-            adversary: AdversarySpec::None,
-            sabotage_commit_threshold: None,
-            storage_policy: None,
-            clock_rates: Vec::new(),
-            sync_latency: 0,
-            reliability: ReliabilityPolicy::Off,
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::PhaseKing, 7, 2, 3, vec![0, 1, 0, 1, 0, 1])
         };
         let back = FailureArtifact::from_json_str(&art.to_string_pretty()).expect("parse");
         assert_eq!(back, art);
-        assert_eq!(back.parse_attack(), Attack::Fixed(1));
+        assert_eq!(back.parse_attack(), Ok(Attack::Fixed(1)));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! byte-identity guarantee: `--jobs 1` and `--jobs N` produce the same
 //! bytes, and any interesting cell can be replayed artifact-by-artifact.
 
-use crate::artifact::{is_safety, AdversarySpec, Algorithm, FailureArtifact};
+use crate::artifact::{field, is_safety, AdversarySpec, Algorithm, FailureArtifact};
 use crate::json::Json;
 use crate::parallel::run_all;
 use crate::report::PercentileSummary;
@@ -145,25 +145,14 @@ fn cell_artifacts(
 ) -> Vec<FailureArtifact> {
     (0..seeds as u64)
         .map(|seed| FailureArtifact {
-            algorithm: Algorithm::BenOr,
-            n: N,
-            t: T,
-            byzantine: None,
-            attack: None,
-            seed,
-            inputs: inputs_for(N, seed),
             max_rounds: MAX_ROUNDS,
             max_ticks: MAX_TICKS,
             network: Some(network.clone()),
-            faults: vec![],
             adversary,
-            sabotage_commit_threshold: None,
-            storage_policy: None,
             clock_rates: clock_rates.to_vec(),
             sync_latency,
             reliability,
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::BenOr, N, T, seed, inputs_for(N, seed))
         })
         .collect()
 }
@@ -278,42 +267,34 @@ impl DegradationCell {
     /// *classic* cell form: the watchdog and reliability columns are
     /// deliberately absent so the committed T14 report bytes never move.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("adversary".into(), Json::Str(self.adversary.into())),
-            ("runs".into(), Json::U64(self.runs)),
-            ("agreed".into(), Json::U64(self.agreed)),
-            (
-                "agreement_permille".into(),
-                Json::U64(self.agreement_permille),
-            ),
-            (
-                "safety_violations".into(),
-                Json::U64(self.safety_violations),
-            ),
-            ("rounds_to_decide".into(), self.rounds_to_decide.to_json()),
-        ])
+        self.render(false)
     }
 
     /// Renders the reliability-report cell form: the classic columns
     /// plus the watchdog verdict and the retransmission/ack overhead.
     pub fn to_json_reliability(&self) -> Json {
-        Json::Obj(vec![
-            ("adversary".into(), Json::Str(self.adversary.into())),
-            ("runs".into(), Json::U64(self.runs)),
-            ("agreed".into(), Json::U64(self.agreed)),
-            (
-                "agreement_permille".into(),
-                Json::U64(self.agreement_permille),
-            ),
-            (
-                "safety_violations".into(),
-                Json::U64(self.safety_violations),
-            ),
-            ("stalled".into(), Json::U64(self.stalled)),
-            ("retransmissions".into(), Json::U64(self.retransmissions)),
-            ("acks_sent".into(), Json::U64(self.acks_sent)),
-            ("rounds_to_decide".into(), self.rounds_to_decide.to_json()),
-        ])
+        self.render(true)
+    }
+
+    /// The cell's columns, with the watchdog and overhead columns when
+    /// `reliability` is set.
+    fn render(&self, reliability: bool) -> Json {
+        let mut fields = vec![
+            ("adversary".to_string(), Json::Str(self.adversary.into())),
+            field("runs", &self.runs),
+            field("agreed", &self.agreed),
+            field("agreement_permille", &self.agreement_permille),
+            field("safety_violations", &self.safety_violations),
+        ];
+        if reliability {
+            fields.extend([
+                field("stalled", &self.stalled),
+                field("retransmissions", &self.retransmissions),
+                field("acks_sent", &self.acks_sent),
+            ]);
+        }
+        fields.push(("rounds_to_decide".into(), self.rounds_to_decide.to_json()));
+        Json::Obj(fields)
     }
 }
 
@@ -321,37 +302,7 @@ impl DegradationCell {
 /// and worker counts: every value is an exact integer derived from the
 /// deterministic grid, never from the wall clock or the host.
 pub fn degradation_json(report: &DegradationReport) -> Json {
-    Json::Obj(vec![
-        (
-            "schema".into(),
-            Json::Str("ooc-campaign-degradation/v1".into()),
-        ),
-        ("algorithm".into(), Json::Str("ben-or".into())),
-        ("n".into(), Json::U64(report.n as u64)),
-        ("t".into(), Json::U64(report.t as u64)),
-        ("seeds".into(), Json::U64(report.seeds as u64)),
-        ("max_rounds".into(), Json::U64(MAX_ROUNDS)),
-        ("max_ticks".into(), Json::U64(MAX_TICKS)),
-        ("attack_ticks".into(), Json::U64(ATTACK_TICKS)),
-        (
-            "regimes".into(),
-            Json::Arr(
-                report
-                    .regimes
-                    .iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("regime".into(), Json::Str(r.regime.into())),
-                            (
-                                "cells".into(),
-                                Json::Arr(r.cells.iter().map(DegradationCell::to_json).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    render(report, false)
 }
 
 /// Renders the reliability degradation report. Same grid and byte-
@@ -359,58 +310,39 @@ pub fn degradation_json(report: &DegradationReport) -> Json {
 /// schema string, the pinned retransmission knobs, and the extra
 /// watchdog/overhead columns per cell.
 pub fn degradation_reliability_json(report: &DegradationReport) -> Json {
-    let reliability = match report.reliability {
-        ReliabilityPolicy::Off => Json::Obj(vec![("policy".into(), Json::Str("off".into()))]),
-        ReliabilityPolicy::Retransmit(cfg) => Json::Obj(vec![
-            ("policy".into(), Json::Str("retransmit".into())),
-            ("rto_initial".into(), Json::U64(cfg.rto_initial)),
-            ("rto_max".into(), Json::U64(cfg.rto_max)),
-            ("jitter_permille".into(), Json::U64(cfg.jitter_permille)),
-            ("max_retries".into(), Json::U64(cfg.max_retries as u64)),
-            (
-                "buffer_capacity".into(),
-                Json::U64(cfg.buffer_capacity as u64),
-            ),
-            ("ack_delay".into(), Json::U64(cfg.ack_delay)),
-        ]),
+    render(report, true)
+}
+
+/// The report document, in its reliability form when `reliability` is
+/// set.
+fn render(report: &DegradationReport, reliability: bool) -> Json {
+    let schema = if reliability {
+        "ooc-campaign-degradation-reliability/v1"
+    } else {
+        "ooc-campaign-degradation/v1"
     };
-    Json::Obj(vec![
-        (
-            "schema".into(),
-            Json::Str("ooc-campaign-degradation-reliability/v1".into()),
-        ),
-        ("algorithm".into(), Json::Str("ben-or".into())),
-        ("n".into(), Json::U64(report.n as u64)),
-        ("t".into(), Json::U64(report.t as u64)),
-        ("seeds".into(), Json::U64(report.seeds as u64)),
-        ("max_rounds".into(), Json::U64(MAX_ROUNDS)),
-        ("max_ticks".into(), Json::U64(MAX_TICKS)),
-        ("attack_ticks".into(), Json::U64(ATTACK_TICKS)),
-        ("reliability".into(), reliability),
-        (
-            "regimes".into(),
-            Json::Arr(
-                report
-                    .regimes
-                    .iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("regime".into(), Json::Str(r.regime.into())),
-                            (
-                                "cells".into(),
-                                Json::Arr(
-                                    r.cells
-                                        .iter()
-                                        .map(DegradationCell::to_json_reliability)
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let mut fields = vec![
+        ("schema".to_string(), Json::Str(schema.into())),
+        field("algorithm", &Algorithm::BenOr),
+        field("n", &report.n),
+        field("t", &report.t),
+        field("seeds", &report.seeds),
+        field("max_rounds", &MAX_ROUNDS),
+        field("max_ticks", &MAX_TICKS),
+        field("attack_ticks", &ATTACK_TICKS),
+    ];
+    if reliability {
+        fields.push(field("reliability", &report.reliability));
+    }
+    let regimes = report.regimes.iter().map(|r| {
+        let cells = r.cells.iter().map(|c| c.render(reliability)).collect();
+        Json::Obj(vec![
+            ("regime".into(), Json::Str(r.regime.into())),
+            ("cells".into(), Json::Arr(cells)),
+        ])
+    });
+    fields.push(("regimes".into(), Json::Arr(regimes.collect())));
+    Json::Obj(fields)
 }
 
 #[cfg(test)]

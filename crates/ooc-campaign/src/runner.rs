@@ -208,7 +208,7 @@ fn run_phase_king_artifact(artifact: &FailureArtifact) -> CampaignOutcome {
     let cfg = {
         let mut cfg = PhaseKingConfig::new(artifact.n, artifact.t)
             .with_byzantine(byzantine)
-            .with_attack(artifact.parse_attack());
+            .with_attack(artifact.parse_attack().unwrap_or_else(|e| panic!("{e}")));
         cfg.max_phases = artifact.max_rounds;
         cfg
     };
@@ -318,29 +318,13 @@ fn run_raft_artifact(artifact: &FailureArtifact) -> CampaignOutcome {
 mod tests {
     use super::*;
     use crate::artifact::{FaultSpec, ViolationSummary};
-    use ooc_simnet::ReliabilityPolicy;
 
     fn ben_or_artifact() -> FailureArtifact {
         FailureArtifact {
-            algorithm: Algorithm::BenOr,
-            n: 5,
-            t: 2,
-            byzantine: None,
-            attack: None,
-            seed: 7,
-            inputs: vec![1, 0, 1, 0, 1],
             max_rounds: 200,
             max_ticks: 200_000,
             network: Some(NetworkConfig::reliable(1)),
-            faults: vec![],
-            adversary: AdversarySpec::None,
-            sabotage_commit_threshold: None,
-            storage_policy: None,
-            clock_rates: Vec::new(),
-            sync_latency: 0,
-            reliability: ReliabilityPolicy::Off,
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::BenOr, 5, 2, 7, vec![1, 0, 1, 0, 1])
         }
     }
 
@@ -435,28 +419,13 @@ mod tests {
     #[test]
     fn phase_king_with_king_crashes_is_clean() {
         let art = FailureArtifact {
-            algorithm: Algorithm::PhaseKing,
-            n: 7,
-            t: 2,
             byzantine: Some(0),
-            attack: None,
-            seed: 3,
-            inputs: vec![0, 1, 0, 1, 0, 1, 0],
             max_rounds: 6,
-            max_ticks: 0,
-            network: None,
             faults: vec![
                 FaultSpec::CrashAtRound { p: 0, round: 1 },
                 FaultSpec::CrashAtRound { p: 1, round: 4 },
             ],
-            adversary: AdversarySpec::None,
-            sabotage_commit_threshold: None,
-            storage_policy: None,
-            clock_rates: Vec::new(),
-            sync_latency: 0,
-            reliability: ReliabilityPolicy::Off,
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::PhaseKing, 7, 2, 3, vec![0, 1, 0, 1, 0, 1, 0])
         };
         let out = run_artifact(&art);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -465,25 +434,10 @@ mod tests {
     #[test]
     fn phase_king_replays_the_same_with_an_unbounded_round_cap() {
         let art = |max_rounds| FailureArtifact {
-            algorithm: Algorithm::PhaseKing,
-            n: 7,
-            t: 2,
             byzantine: Some(2),
             attack: Some("equivocate".into()),
-            seed: 0,
-            inputs: vec![0, 1, 0, 1, 0],
             max_rounds,
-            max_ticks: 0,
-            network: None,
-            faults: vec![],
-            adversary: AdversarySpec::None,
-            sabotage_commit_threshold: None,
-            storage_policy: None,
-            clock_rates: Vec::new(),
-            sync_latency: 0,
-            reliability: ReliabilityPolicy::Off,
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::PhaseKing, 7, 2, 0, vec![0, 1, 0, 1, 0])
         };
         let bounded = run_artifact(&art(2 + 4));
         let unbounded = run_artifact(&art(u64::MAX));
@@ -500,28 +454,13 @@ mod tests {
     #[should_panic(expected = "crash-stop protocol")]
     fn phase_king_artifact_rejects_restarts() {
         let art = FailureArtifact {
-            algorithm: Algorithm::PhaseKing,
-            n: 7,
-            t: 2,
             byzantine: Some(0),
-            attack: None,
-            seed: 3,
-            inputs: vec![0, 1, 0, 1, 0, 1, 0],
             max_rounds: 6,
-            max_ticks: 0,
-            network: None,
             faults: vec![
                 FaultSpec::CrashAtRound { p: 0, round: 1 },
                 FaultSpec::RestartAt { p: 0, tick: 50 },
             ],
-            adversary: AdversarySpec::None,
-            sabotage_commit_threshold: None,
-            storage_policy: None,
-            clock_rates: Vec::new(),
-            sync_latency: 0,
-            reliability: ReliabilityPolicy::Off,
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::PhaseKing, 7, 2, 3, vec![0, 1, 0, 1, 0, 1, 0])
         };
         let _ = run_artifact(&art);
     }
@@ -529,28 +468,14 @@ mod tests {
     #[test]
     fn raft_under_leader_flap_recovers_within_budget() {
         let art = FailureArtifact {
-            algorithm: Algorithm::Raft,
-            n: 5,
-            t: 2,
-            byzantine: None,
-            attack: None,
-            seed: 11,
-            inputs: vec![1, 2, 3, 4, 5],
             max_rounds: 10_000,
             max_ticks: 2_000_000,
             network: Some(NetworkConfig::reliable(2)),
-            faults: vec![],
             adversary: AdversarySpec::LeaderFlap {
                 isolation_ticks: 400,
                 max_flaps: 3,
             },
-            sabotage_commit_threshold: None,
-            storage_policy: None,
-            clock_rates: Vec::new(),
-            sync_latency: 0,
-            reliability: ReliabilityPolicy::Off,
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::Raft, 5, 2, 11, vec![1, 2, 3, 4, 5])
         };
         let out = run_artifact(&art);
         assert!(

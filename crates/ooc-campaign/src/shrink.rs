@@ -295,13 +295,6 @@ mod tests {
         // sweep does.
         for seed in 0..300 {
             let art = FailureArtifact {
-                algorithm: Algorithm::BenOr,
-                n: 7,
-                t: 3,
-                byzantine: None,
-                attack: None,
-                seed,
-                inputs: vec![0, 1, 0, 1, 0, 1, 0],
                 max_rounds: 200,
                 max_ticks: 300_000,
                 network: Some(NetworkConfig::lossy(1, 5, 0.05)),
@@ -311,12 +304,7 @@ mod tests {
                     slow_ticks: 25,
                 },
                 sabotage_commit_threshold: Some(3),
-                storage_policy: None,
-                clock_rates: Vec::new(),
-                sync_latency: 0,
-                reliability: ReliabilityPolicy::Off,
-                stalled_since: None,
-                violation: None,
+                ..FailureArtifact::clean(Algorithm::BenOr, 7, 3, seed, vec![0, 1, 0, 1, 0, 1, 0])
             };
             let out = run_artifact(&art);
             if out.has_safety_violation() {
@@ -370,28 +358,15 @@ mod tests {
         // must be accepted and the minimal artifact needs no reliability
         // layer.
         let art = FailureArtifact {
-            algorithm: Algorithm::BenOr,
-            n: 7,
-            t: 3,
-            byzantine: None,
-            attack: None,
-            seed: 0,
-            inputs: vec![0, 1, 0, 1, 0, 1, 0],
             max_rounds: 40,
             max_ticks: 400,
             network: Some(NetworkConfig::reliable(1)),
-            faults: vec![],
             adversary: AdversarySpec::QuorumFlap {
                 until_ticks: 60_000,
                 period: 60,
             },
-            sabotage_commit_threshold: None,
-            storage_policy: None,
-            clock_rates: Vec::new(),
-            sync_latency: 0,
             reliability: ReliabilityPolicy::Retransmit(RetransmitConfig::default()),
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::BenOr, 7, 3, 0, vec![0, 1, 0, 1, 0, 1, 0])
         };
         let report = shrink(&art).expect("starved run violates termination");
         assert_eq!(
@@ -448,25 +423,10 @@ mod tests {
     #[test]
     fn shrinking_a_clean_artifact_returns_none() {
         let art = FailureArtifact {
-            algorithm: Algorithm::BenOr,
-            n: 5,
-            t: 2,
-            byzantine: None,
-            attack: None,
-            seed: 1,
-            inputs: vec![1, 1, 1, 1, 1],
             max_rounds: 100,
             max_ticks: 100_000,
             network: Some(NetworkConfig::reliable(1)),
-            faults: vec![],
-            adversary: AdversarySpec::None,
-            sabotage_commit_threshold: None,
-            storage_policy: None,
-            clock_rates: Vec::new(),
-            sync_latency: 0,
-            reliability: ReliabilityPolicy::Off,
-            stalled_since: None,
-            violation: None,
+            ..FailureArtifact::clean(Algorithm::BenOr, 5, 2, 1, vec![1, 1, 1, 1, 1])
         };
         assert!(shrink(&art).is_none());
     }

@@ -14,7 +14,7 @@ use crate::parallel::run_all;
 use ooc_phase_king::{Attack, PhaseKingConfig};
 use ooc_simnet::{
     DelayModel, FlappingPartition, LinkOverride, NetworkConfig, PartitionWindow, ProcessId,
-    ReliabilityPolicy, SimTime, StoragePolicy,
+    SimTime, StoragePolicy,
 };
 
 /// Everything a sweep over one algorithm produced.
@@ -188,25 +188,19 @@ fn ben_or_grid(target: usize, sabotage: bool) -> Vec<FailureArtifact> {
                 for faults in &fault_menu {
                     for &adversary in &adversaries {
                         grid.push(FailureArtifact {
-                            algorithm: Algorithm::BenOr,
-                            n,
-                            t,
-                            byzantine: None,
-                            attack: None,
-                            seed,
-                            inputs: inputs_for(n, seed),
                             max_rounds: 200,
                             max_ticks: 300_000,
                             network: Some(network.clone()),
                             faults: faults.clone(),
                             adversary,
                             sabotage_commit_threshold: sabotage.then_some(t),
-                            storage_policy: None,
-                            clock_rates: Vec::new(),
-                            sync_latency: 0,
-                            reliability: ReliabilityPolicy::Off,
-                            stalled_since: None,
-                            violation: None,
+                            ..FailureArtifact::clean(
+                                Algorithm::BenOr,
+                                n,
+                                t,
+                                seed,
+                                inputs_for(n, seed),
+                            )
                         });
                     }
                 }
@@ -258,26 +252,13 @@ fn phase_king_grid(target: usize) -> Vec<FailureArtifact> {
                     } else {
                         vec![]
                     };
+                    let inputs = inputs_for(n - byzantine, seed);
                     grid.push(FailureArtifact {
-                        algorithm: Algorithm::PhaseKing,
-                        n,
-                        t,
                         byzantine: Some(byzantine),
                         attack: Some(FailureArtifact::attack_name(attack)),
-                        seed,
-                        inputs: inputs_for(n - byzantine, seed),
                         max_rounds: t as u64 + 4,
-                        max_ticks: 0,
-                        network: None,
                         faults,
-                        adversary: AdversarySpec::None,
-                        sabotage_commit_threshold: None,
-                        storage_policy: None,
-                        clock_rates: Vec::new(),
-                        sync_latency: 0,
-                        reliability: ReliabilityPolicy::Off,
-                        stalled_since: None,
-                        violation: None,
+                        ..FailureArtifact::clean(Algorithm::PhaseKing, n, t, seed, inputs)
                     });
                 }
             }
@@ -324,26 +305,14 @@ fn raft_grid(target: usize) -> Vec<FailureArtifact> {
             for network in &networks {
                 for faults in &fault_menu {
                     for &adversary in &adversaries {
+                        let inputs = (1..=n as u64).collect();
                         grid.push(FailureArtifact {
-                            algorithm: Algorithm::Raft,
-                            n,
-                            t: minority,
-                            byzantine: None,
-                            attack: None,
-                            seed,
-                            inputs: (1..=n as u64).collect(),
                             max_rounds: 10_000,
                             max_ticks: 2_000_000,
                             network: Some(network.clone()),
                             faults: faults.clone(),
                             adversary,
-                            sabotage_commit_threshold: None,
-                            storage_policy: None,
-                            clock_rates: Vec::new(),
-                            sync_latency: 0,
-                            reliability: ReliabilityPolicy::Off,
-                            stalled_since: None,
-                            violation: None,
+                            ..FailureArtifact::clean(Algorithm::Raft, n, minority, seed, inputs)
                         });
                     }
                 }
@@ -413,26 +382,14 @@ pub fn raft_durability_grid(target: usize, policy: StoragePolicy) -> Vec<Failure
                             let mut faults = crash_tail_specs(n, t, 5);
                             faults.push(FaultSpec::CrashAfterEvents { p: victim, events });
                             faults.push(FaultSpec::RestartAt { p: victim, tick: restart });
+                            let (seed, inputs) = (grid.len() as u64, (1..=n as u64).collect());
                             grid.push(FailureArtifact {
-                                algorithm: Algorithm::Raft,
-                                n,
-                                t,
-                                byzantine: None,
-                                attack: None,
-                                seed: grid.len() as u64,
-                                inputs: (1..=n as u64).collect(),
                                 max_rounds: 10_000,
                                 max_ticks: 2_000_000,
                                 network: Some(net),
                                 faults,
-                                adversary: AdversarySpec::None,
-                                sabotage_commit_threshold: None,
                                 storage_policy: Some(policy),
-                                clock_rates: Vec::new(),
-                                sync_latency: 0,
-                                reliability: ReliabilityPolicy::Off,
-                                stalled_since: None,
-                                violation: None,
+                                ..FailureArtifact::clean(Algorithm::Raft, n, t, seed, inputs)
                             });
                         }
                     }
@@ -548,25 +505,13 @@ pub fn ben_or_gray_grid(target: usize) -> Vec<FailureArtifact> {
             for network in &networks {
                 for &adversary in &adversaries {
                     grid.push(FailureArtifact {
-                        algorithm: Algorithm::BenOr,
-                        n,
-                        t,
-                        byzantine: None,
-                        attack: None,
-                        seed,
-                        inputs: inputs_for(n, seed),
                         max_rounds: 300,
                         max_ticks: 600_000,
                         network: Some(network.clone()),
-                        faults: vec![],
                         adversary,
-                        sabotage_commit_threshold: None,
-                        storage_policy: None,
                         clock_rates: drift.clone(),
                         sync_latency,
-                        reliability: ReliabilityPolicy::Off,
-                        stalled_since: None,
-                        violation: None,
+                        ..FailureArtifact::clean(Algorithm::BenOr, n, t, seed, inputs_for(n, seed))
                     });
                 }
             }

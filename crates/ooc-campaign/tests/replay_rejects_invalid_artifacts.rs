@@ -2,7 +2,7 @@
 //! each must be rejected at the parse boundary with exit code 2 and a
 //! message, never a panic (exit code 101).
 
-use ooc_campaign::{Algorithm, FailureArtifact};
+use ooc_campaign::{Algorithm, FailureArtifact, Json};
 use ooc_simnet::{
     LinkOverride, NetworkConfig, PartitionWindow, ProcessId, ReliabilityPolicy, RetransmitConfig,
     SimTime,
@@ -166,6 +166,36 @@ fn replay_exits_2_on_artifacts_that_cannot_run() {
     assert_ne!(overflow, text, "the gray artifact has a drop probability");
     texts.push(("drop-probability-overflow", overflow, "number out of range"));
     texts.push(("deep-nesting", "[".repeat(100_000), "nesting"));
+    // A present field of the wrong type once read as its default, so
+    // replay ran another artifact than the one written.
+    let edit = |art: FailureArtifact, from: &str, to: &str| {
+        let text = art.to_string_pretty();
+        let edited = text.replacen(from, to, 1);
+        assert_ne!(edited, text, "{from:?} is not in the artifact");
+        edited
+    };
+    let text = edit(gray(), "\"sync_latency\": 2", "\"sync_latency\": -2");
+    texts.push(("sync-latency-negative", text, "sync_latency must be an unsigned integer"));
+    let text = edit(gray(), "\"fifo_links\": false", "\"fifo_links\": 0");
+    texts.push(("fifo-links-number", text, "network fifo_links must be a boolean"));
+    let text = edit(valid(Algorithm::BenOr), "\"kind\": \"none\"", "\"kind\": 7");
+    texts.push(("adversary-kind-number", text, "adversary kind must be a string"));
+    // The fault list written as its one entry, an object.
+    let mut a = valid(Algorithm::BenOr);
+    a.faults = vec![CrashAt { p: 4, tick: 60 }];
+    let Json::Obj(mut fields) = a.to_json() else {
+        panic!("an artifact is an object")
+    };
+    let (_, faults) = fields
+        .iter_mut()
+        .find(|(key, _)| key == "faults")
+        .expect("the faults are written");
+    *faults = faults.as_arr().expect("the faults are an array")[0].clone();
+    texts.push(("faults-object", Json::Obj(fields).pretty(), "faults must be an array"));
+    let text = edit(valid(Algorithm::PhaseKing), "\"equivocate\"", "\"bogus\"");
+    texts.push(("phase-king-attack-unknown", text, "unknown attack \"bogus\""));
+    let text = edit(valid(Algorithm::PhaseKing), "\"byzantine\": 1", "\"byzantine\": \"1\"");
+    texts.push(("byzantine-string", text, "byzantine must be an unsigned integer"));
 
     let dir = std::env::temp_dir().join(format!("ooc-replay-invalid-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
