@@ -2,32 +2,35 @@
 
 use ooc_campaign::artifact::{Algorithm, FailureArtifact};
 use ooc_campaign::degradation::{
-    degradation_artifacts, degradation_json, degradation_reliability_json,
+    degradation_artifacts_with, degradation_json, degradation_reliability_json,
     degradation_reliability_report_jobs, degradation_report_jobs,
 };
-use ooc_simnet::{ReliabilityPolicy, RetransmitConfig};
 use ooc_campaign::parallel::{default_jobs, run_all};
 use ooc_campaign::report::{collect_reports_jobs, report_json};
 use ooc_campaign::shrink::{shrink, size_of};
 use ooc_campaign::sweep::{sweep_jobs, sweep_storage_jobs, SweepReport};
 use ooc_simnet::StoragePolicy;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
+/// Runs the command; an `Err` is a usage error, printed with exit code 2.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter().map(String::as_str);
-    match it.next() {
+    let result = match it.next() {
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("degradation") => cmd_degradation(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("shrink") => cmd_shrink(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+        _ => Err(USAGE.to_string()),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    })
 }
 
 const USAGE: &str = "\
@@ -101,10 +104,28 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn parse_jobs(args: &[String]) -> usize {
-    parse_flag(args, "--jobs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(default_jobs)
+/// The value of `flag` parsed as a `T`, or `default()` when the flag is
+/// absent. A flag without a value, or with one that does not parse, is
+/// an error that names the flag.
+fn flag_value<T: FromStr>(
+    args: &[String],
+    flag: &str,
+    default: impl FnOnce() -> T,
+) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default());
+    };
+    let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|e| format!("invalid {flag} {value:?}: {e}"))
+}
+
+fn parse_jobs(args: &[String]) -> Result<usize, String> {
+    flag_value(args, "--jobs", default_jobs)
 }
 
 /// Positional arguments: everything that is not a flag or the value of
@@ -129,34 +150,22 @@ fn positional_args<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str>
     out
 }
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    let algorithms: Vec<Algorithm> = match parse_flag(args, "--algorithm") {
-        None | Some("all") => Algorithm::all().to_vec(),
-        Some(name) => match Algorithm::parse(name) {
-            Some(a) => vec![a],
-            None => {
-                eprintln!("unknown algorithm {name:?} (ben-or|phase-king|raft|all)");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let combos: usize = parse_flag(args, "--combos")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000);
+fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
+    let algorithms = parse_algorithms(args)?;
+    let combos = flag_value(args, "--combos", || 1000)?;
     let out_dir = PathBuf::from(parse_flag(args, "--out").unwrap_or("campaign-artifacts"));
     let sabotage = has_flag(args, "--sabotage");
     let do_shrink = has_flag(args, "--shrink");
-    let jobs = parse_jobs(args);
+    let jobs = parse_jobs(args)?;
 
     if let Some(name) = parse_flag(args, "--storage") {
-        let Some(policy) = StoragePolicy::from_name(name) else {
-            eprintln!(
+        let policy = StoragePolicy::from_name(name).ok_or_else(|| {
+            format!(
                 "unknown storage policy {name:?} \
                  (sync-always|lose-unsynced|torn-last-write|amnesia)"
-            );
-            return ExitCode::from(2);
-        };
-        return cmd_sweep_storage(policy, combos, &out_dir, do_shrink, jobs);
+            )
+        })?;
+        return Ok(cmd_sweep_storage(policy, combos, &out_dir, do_shrink, jobs));
     }
 
     let mut any_safety = false;
@@ -165,7 +174,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         println!("{}", report.summary());
         any_safety |= !report.safety.is_empty();
         if let Err(code) = write_flagged(&report, &out_dir, do_shrink, alg.name()) {
-            return code;
+            return Ok(code);
         }
     }
     // With sabotage we *expect* safety violations; without, any safety
@@ -176,9 +185,19 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         } else {
             eprintln!("SAFETY VIOLATION found — artifacts written above");
         }
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The `--algorithm` flag: one algorithm, or all three by default.
+fn parse_algorithms(args: &[String]) -> Result<Vec<Algorithm>, String> {
+    match parse_flag(args, "--algorithm") {
+        None | Some("all") => Ok(Algorithm::all().to_vec()),
+        Some(name) => Algorithm::parse(name)
+            .map(|a| vec![a])
+            .ok_or_else(|| format!("unknown algorithm {name:?} (ben-or|phase-king|raft|all)")),
+    }
 }
 
 /// The `sweep --storage POLICY` path: run the Raft durability grid and
@@ -269,21 +288,10 @@ fn write_flagged(
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> ExitCode {
-    let algorithms: Vec<Algorithm> = match parse_flag(args, "--algorithm") {
-        None | Some("all") => Algorithm::all().to_vec(),
-        Some(name) => match Algorithm::parse(name) {
-            Some(a) => vec![a],
-            None => {
-                eprintln!("unknown algorithm {name:?} (ben-or|phase-king|raft|all)");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let combos: usize = parse_flag(args, "--combos")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
-    let reports = collect_reports_jobs(&algorithms, combos, parse_jobs(args));
+fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
+    let algorithms = parse_algorithms(args)?;
+    let combos = flag_value(args, "--combos", || 200)?;
+    let reports = collect_reports_jobs(&algorithms, combos, parse_jobs(args)?);
     for r in &reports {
         println!(
             "{}: {} combos, {} fully decided, {} with undecided, p50/p95/p99 rounds {}/{}/{}",
@@ -297,31 +305,40 @@ fn cmd_report(args: &[String]) -> ExitCode {
         );
     }
     let text = report_json(&reports).pretty();
-    match parse_flag(args, "--out") {
-        Some(path) => {
-            let path = Path::new(path);
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("failed to create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", path.display());
-        }
-        None => print!("{text}"),
+    if let Err(code) = write_report(args, &text) {
+        return Ok(code);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_degradation(args: &[String]) -> ExitCode {
-    let seeds: usize = parse_flag(args, "--seeds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
-    let jobs = parse_jobs(args);
+/// Writes a report to the `--out` file, creating its directory, or to
+/// stdout. A failure is printed and returned as exit code 1.
+fn write_report(args: &[String], text: &str) -> Result<(), ExitCode> {
+    let Some(path) = parse_flag(args, "--out") else {
+        print!("{text}");
+        return Ok(());
+    };
+    let path = Path::new(path);
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("failed to create {}: {e}", dir.display());
+            return Err(ExitCode::FAILURE);
+        }
+    }
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("failed to write {}: {e}", path.display());
+        return Err(ExitCode::FAILURE);
+    }
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+fn cmd_degradation(args: &[String]) -> Result<ExitCode, String> {
+    let seeds = flag_value(args, "--seeds", || 40)?;
+    if seeds == 0 {
+        return Err("--seeds must be at least 1".into());
+    }
+    let jobs = parse_jobs(args)?;
     // `--reliability` arms the engine's retransmission layer at its
     // defaults and switches to the reliability report schema; without it
     // the classic fire-and-forget report reproduces byte-for-byte.
@@ -352,38 +369,17 @@ fn cmd_degradation(args: &[String]) -> ExitCode {
     } else {
         degradation_json(&report).pretty()
     };
-    match parse_flag(args, "--out") {
-        Some(path) => {
-            let path = Path::new(path);
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("failed to create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", path.display());
-        }
-        None => print!("{text}"),
+    if let Err(code) = write_report(args, &text) {
+        return Ok(code);
     }
     if let Some(dir) = parse_flag(args, "--artifacts") {
         let dir = Path::new(dir);
-        let artifacts = if reliability {
-            ooc_campaign::degradation::degradation_artifacts_with(
-                seeds,
-                ReliabilityPolicy::Retransmit(RetransmitConfig::default()),
-            )
-        } else {
-            degradation_artifacts(seeds)
-        };
+        let artifacts = degradation_artifacts_with(seeds, report.reliability);
         for (i, art) in artifacts.iter().enumerate() {
             let path = dir.join(format!("degradation-{i:04}.json"));
             if let Err(e) = write_artifact(&path, art) {
                 eprintln!("failed to write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         println!("wrote {} artifacts to {}", artifacts.len(), dir.display());
@@ -396,9 +392,9 @@ fn cmd_degradation(args: &[String]) -> ExitCode {
         .sum();
     if safety > 0 {
         eprintln!("SAFETY VIOLATION in {safety} degradation runs");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn write_artifact(path: &Path, art: &FailureArtifact) -> std::io::Result<()> {
@@ -414,23 +410,17 @@ fn load_artifact(path: &str) -> Result<FailureArtifact, String> {
     FailureArtifact::from_json_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn cmd_replay(args: &[String]) -> ExitCode {
+fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     let paths = positional_args(args, &["--jobs"]);
     if paths.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+        return Err(USAGE.to_string());
     }
-    let mut artifacts = Vec::with_capacity(paths.len());
-    for path in &paths {
-        match load_artifact(path) {
-            Ok(a) => artifacts.push(a),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let outcomes = run_all(&artifacts, parse_jobs(args));
+    let jobs = parse_jobs(args)?;
+    let artifacts = paths
+        .iter()
+        .map(|path| load_artifact(path))
+        .collect::<Result<Vec<_>, _>>()?;
+    let outcomes = run_all(&artifacts, jobs);
     let mut all_reproduced = true;
     for ((path, art), out) in paths.iter().zip(&artifacts).zip(&outcomes) {
         println!(
@@ -467,26 +457,17 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             }
         }
     }
-    if all_reproduced {
+    Ok(if all_reproduced {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_shrink(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let art = match load_artifact(path) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    match shrink(&art) {
+fn cmd_shrink(args: &[String]) -> Result<ExitCode, String> {
+    let path = args.first().ok_or_else(|| USAGE.to_string())?;
+    let art = load_artifact(path)?;
+    Ok(match shrink(&art) {
         None => {
             eprintln!("artifact does not reproduce any violation; nothing to shrink");
             ExitCode::FAILURE
@@ -509,10 +490,10 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
             }
             if let Err(e) = write_artifact(&out_path, &report.artifact) {
                 eprintln!("failed to write {}: {e}", out_path.display());
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             println!("wrote {}", out_path.display());
             ExitCode::SUCCESS
         }
-    }
+    })
 }
