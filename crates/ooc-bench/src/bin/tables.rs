@@ -7,14 +7,10 @@
 //! ```
 //!
 //! `--bench-json PATH` writes the T11 observability metrics, the T12
-//! campaign-throughput totals, the T14 gray-failure degradation totals,
-//! the T15 raw-engine throughput totals, the T16 per-regime flood totals
-//! and the T17 reliable-delivery totals as one deterministic JSON
-//! document (running the tables first if they were not requested).
-//!
-//! `--profile` prints the deterministic work-tick breakdown for T15/T16
-//! (plan/sample/insert/deliver); the counters are simulated work units,
-//! never wall time, and never reach the serialized rows.
+//! campaign totals, the T14 gray-failure degradation totals, the T15
+//! flood and smoke-sweep totals, the T16 per-regime flood totals and the
+//! T17 reliable-delivery totals as one deterministic JSON document
+//! (running the tables first if they were not requested).
 
 use ooc_bench::tables;
 
@@ -27,15 +23,10 @@ fn main() {
             eprintln!("--bench-json requires a PATH");
             std::process::exit(2);
         }));
-    let profile = args.iter().any(|a| a == "--profile");
     let tables_args: Vec<&str> = args
         .iter()
         .enumerate()
-        .filter(|(i, a)| {
-            *a != "--bench-json"
-                && *a != "--profile"
-                && !(*i > 0 && args[i - 1] == "--bench-json")
-        })
+        .filter(|(i, a)| *a != "--bench-json" && !(*i > 0 && args[i - 1] == "--bench-json"))
         .map(|(_, a)| a.as_str())
         .collect();
     let wanted: Vec<&str> = if tables_args.is_empty() || tables_args.contains(&"all") {
@@ -94,10 +85,10 @@ fn main() {
                 t14_rows = Some(tables::t14());
             }
             "t15" => {
-                t15_rows = Some(tables::t15_with(profile));
+                t15_rows = Some(tables::t15());
             }
             "t16" => {
-                t16_rows = Some(tables::t16_with(profile));
+                t16_rows = Some(tables::t16());
             }
             "t17" => {
                 t17_rows = Some(tables::t17());

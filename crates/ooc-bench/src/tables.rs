@@ -1,4 +1,4 @@
-//! The T1–T16 experiment implementations.
+//! The T1–T17 experiment implementations.
 //!
 //! Each function runs one experiment sweep, prints the table, and returns
 //! the raw rows so tests can assert on the *shape* of the results (who
@@ -647,32 +647,23 @@ pub fn t11() -> Vec<(String, u64)> {
     rows
 }
 
-/// T12 — parallel campaign throughput: `ooc-campaign`'s deterministic
+/// T12 — the parallel campaign executor: `ooc-campaign`'s deterministic
 /// scoped-thread executor over a smoke grid, serial vs 4 workers.
 ///
-/// Wall-clock throughput (runs/sec, events/sec, speedup) is printed for
-/// the operator but deliberately kept **out** of the returned rows: only
-/// simulated, machine-independent totals feed `BENCH_ooc.json`. The
-/// function also asserts the executor's contract in passing — the
-/// 4-worker outcomes must match the serial ones field-for-field (wall
-/// time excepted), or the table itself is meaningless.
+/// The function asserts the executor's contract — the 4-worker outcomes
+/// must match the serial ones field-for-field (wall time excepted) — and
+/// returns the simulated, machine-independent totals that feed
+/// `BENCH_ooc.json`. The executor's wall-clock speed-up is perfbench's
+/// traced `campaign.parallel_speedup_jobs2` row.
 pub fn t12() -> Vec<(String, u64)> {
     use ooc_campaign::{grid, run_all, Algorithm};
 
-    hr("T12  parallel campaign throughput (smoke grid, jobs=1 vs jobs=4)");
+    hr("T12  parallel campaign executor (smoke grid, jobs=1 vs jobs=4)");
     const COMBOS: usize = 64;
     let mut artifacts = grid(Algorithm::BenOr, COMBOS);
     artifacts.truncate(COMBOS);
-
-    // ooc-lint::allow(determinism/wall-clock, "throughput measurement of the serial executor")
-    let start = Instant::now();
     let serial = run_all(&artifacts, 1);
-    let serial_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-    // ooc-lint::allow(determinism/wall-clock, "throughput measurement of the 4-worker executor")
-    let start = Instant::now();
     let parallel = run_all(&artifacts, 4);
-    let parallel_secs = start.elapsed().as_secs_f64().max(1e-9);
 
     // The executor contract, asserted on real data: worker count must be
     // invisible in everything but wall time.
@@ -697,21 +688,10 @@ pub fn t12() -> Vec<(String, u64)> {
     let decided: u64 = serial.iter().map(|o| o.decided as u64).sum();
     let undecided: u64 = serial.iter().map(|o| o.undecided as u64).sum();
     let sim_ticks: u64 = serial.iter().map(|o| o.spent.ticks).sum();
-
     println!(
-        "{:<8} {:>10} {:>12} {:>14}",
-        "jobs", "secs", "runs/sec", "events/sec"
+        "{combos} combos agree at jobs=1 and jobs=4: {decided} decided, \
+         {undecided} undecided, {messages} messages, {events} events"
     );
-    for (jobs, secs) in [(1, serial_secs), (4, parallel_secs)] {
-        println!(
-            "{:<8} {:>10.3} {:>12.1} {:>14.0}",
-            jobs,
-            secs,
-            combos as f64 / secs,
-            events as f64 / secs
-        );
-    }
-    println!("speedup at jobs=4: {:.2}x", serial_secs / parallel_secs);
 
     vec![
         ("campaign/combos".into(), combos),
@@ -780,13 +760,6 @@ struct Flood {
 const FLOOD_N: usize = 8;
 const FLOOD_BUDGET: u64 = 300;
 const FLOOD_SEEDS: u64 = 6;
-/// Timing repetitions per measurement: one flood pass runs in
-/// single-digit milliseconds, where scheduler jitter dominates, so the
-/// wall time reported is the *minimum* over this many identical passes
-/// (the standard best-of-k estimator for a deterministic workload).
-/// Simulated totals come from the first pass — every pass is
-/// byte-identical by determinism, so repetition changes nothing else.
-const FLOOD_REPS: usize = 15;
 
 impl ooc_simnet::Process for Flood {
     type Msg = u64;
@@ -810,136 +783,58 @@ impl ooc_simnet::Process for Flood {
     fn on_timer(&mut self, _ctx: &mut ooc_simnet::Context<'_, u64, u64>, _t: ooc_simnet::TimerId) {}
 }
 
-/// Simulated totals of one flood run (all machine-independent) plus the
-/// wall time, which is printed for the operator but never serialized.
+/// Simulated totals of the flood over [`FLOOD_SEEDS`] seeds.
 struct FloodTotals {
     events: u64,
     messages: u64,
-    dropped: u64,
-    duplicated: u64,
-    timers: u64,
     sim_ticks: u64,
-    secs: f64,
 }
 
-/// One timed flood pass over [`FLOOD_SEEDS`] seeds; accumulates the
-/// simulated totals into `t` only when `accumulate` is set (the first
-/// pass — every pass is byte-identical by determinism) and always folds
-/// the pass's wall time into `t.secs` via min.
-fn flood_pass(config: &NetworkConfig, t: &mut FloodTotals, accumulate: bool) {
-    // ooc-lint::allow(determinism/wall-clock, "throughput measurement of the engine hot path")
-    let start = Instant::now();
+/// Runs the flood on `config` once per seed and sums its totals.
+fn run_flood(config: &NetworkConfig) -> FloodTotals {
+    let mut t = FloodTotals {
+        events: 0,
+        messages: 0,
+        sim_ticks: 0,
+    };
     for seed in 0..FLOOD_SEEDS {
         let mut sim = Sim::builder(config.clone())
             .seed(seed)
-            // Raw-speed configuration: the trace ring records nothing,
-            // the way a campaign happy path would run.
+            // No trace, as in a campaign run.
             .trace_capacity(0)
             .processes((0..FLOOD_N).map(|_| Flood::default()))
             .build();
         let out = sim.run(RunLimit::default());
         assert!(out.all_decided(), "flood seed {seed} must decide");
-        if accumulate {
-            t.events += out.stats.events_processed;
-            t.messages += out.stats.messages_sent;
-            t.dropped += out.stats.messages_dropped;
-            t.duplicated += out.stats.messages_duplicated;
-            t.timers += out.stats.timers_fired;
-            t.sim_ticks += out.stats.end_time.ticks();
-        }
-    }
-    t.secs = t.secs.min(start.elapsed().as_secs_f64().max(1e-9));
-}
-
-/// Times the flood on `config`: best of [`FLOOD_REPS`] passes.
-fn run_flood(config: &NetworkConfig) -> FloodTotals {
-    let mut t = FloodTotals {
-        events: 0,
-        messages: 0,
-        dropped: 0,
-        duplicated: 0,
-        timers: 0,
-        sim_ticks: 0,
-        secs: f64::INFINITY,
-    };
-    for rep in 0..FLOOD_REPS {
-        flood_pass(config, &mut t, rep == 0);
+        t.events += out.stats.events_processed;
+        t.messages += out.stats.messages_sent;
+        t.sim_ticks += out.stats.end_time.ticks();
     }
     t
 }
 
-/// Deterministic modelled work-tick breakdown of the delivery path,
-/// printed under `--profile` and **never** serialized into rows — the
-/// same discipline as `ooc-lint`'s per-rule `work_ticks`: a tick is one
-/// unit of logical work counted from the simulated totals, never wall
-/// time, so the breakdown is identical on every host.
+/// T15 — the raw simnet workload: the engine on a message flood, plus
+/// the campaign pipeline (harness and checkers, no trace) over the T12
+/// smoke grid at 4 workers.
 ///
-/// * `plan` — one tick per outbound message classified against the
-///   routing state (partition/override/probability resolution);
-/// * `sample` — one tick per routing RNG decision: a drop check per
-///   message plus a delay draw per surviving message;
-/// * `insert` — one tick per entry pushed into the scheduler: survivors,
-///   duplicate copies, and fired timers;
-/// * `deliver` — one tick per handler invocation popped from the queue.
-fn print_work_ticks(label: &str, t: &FloodTotals) {
-    let survivors = t.messages - t.dropped;
-    let plan = t.messages;
-    let sample = t.messages + survivors;
-    let insert = survivors + t.duplicated + t.timers;
-    let deliver = t.events;
-    println!(
-        "profile[{label}]: plan={plan} sample={sample} insert={insert} deliver={deliver} work ticks"
-    );
-}
-
-/// T15 — raw simnet throughput: events/sec of the engine on a
-/// message-flood workload, plus sweeps/sec over the T12 smoke grid.
-///
-/// Wall-clock events/sec and sweeps/sec are printed for the operator and
-/// deliberately kept **out** of the returned rows: only simulated,
-/// machine-independent totals feed `BENCH_ooc.json`, so the committed
-/// rows are byte-stable across hosts and runs.
+/// Only simulated, machine-independent totals are printed and returned,
+/// so the committed rows are byte-stable across hosts and runs. The
+/// flood's wall-clock speed is perfbench's traced
+/// `simnet.flood.sampled.events_per_s` row.
 pub fn t15() -> Vec<(String, u64)> {
-    t15_with(false)
-}
-
-/// [`t15`] with an optional deterministic work-tick profile (see
-/// [`print_work_ticks`]).
-pub fn t15_with(profile: bool) -> Vec<(String, u64)> {
     use ooc_campaign::{grid, run_all, Algorithm};
 
-    hr("T15  raw simnet throughput (events/sec + sweeps/sec)");
-
+    hr("T15  raw simnet workload (flood + smoke sweep)");
     let flood = run_flood(&NetworkConfig::default());
-    println!("{:<14} {:>10} {:>14}", "workload", "secs", "events/sec");
     println!(
-        "{:<14} {:>10.3} {:>14.0}",
-        "flood",
-        flood.secs,
-        flood.events as f64 / flood.secs
+        "flood: {} events, {} messages, {} simulated ticks",
+        flood.events, flood.messages, flood.sim_ticks
     );
-    if profile {
-        print_work_ticks("t15/flood", &flood);
-    }
-
-    // Sweeps/sec over the T12 smoke grid: the full campaign pipeline
-    // (harness + checkers, no trace capture) at the default worker
-    // count the CI throughput job uses.
     const COMBOS: usize = 64;
     let mut artifacts = grid(Algorithm::BenOr, COMBOS);
     artifacts.truncate(COMBOS);
-    // ooc-lint::allow(determinism/wall-clock, "throughput measurement of the campaign sweep")
-    let start = Instant::now();
-    let outcomes = run_all(&artifacts, 4);
-    let sweep_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let sweep_events: u64 = outcomes.iter().map(|o| o.spent.events).sum();
-    println!(
-        "sweep: {:.1} sweeps/sec, {:.0} events/sec ({} combos in {:.3}s)",
-        COMBOS as f64 / sweep_secs,
-        sweep_events as f64 / sweep_secs,
-        COMBOS,
-        sweep_secs
-    );
+    let sweep_events: u64 = run_all(&artifacts, 4).iter().map(|o| o.spent.events).sum();
+    println!("sweep: {COMBOS} combos, {sweep_events} events");
 
     vec![
         ("t15/engine_seeds".into(), FLOOD_SEEDS),
@@ -951,24 +846,18 @@ pub fn t15_with(profile: bool) -> Vec<(String, u64)> {
     ]
 }
 
-/// T16 — flood throughput by network regime: the T15 flood workload on a
-/// clean network (default uniform delay), a fixed-delay network
-/// (statically uniform routing: no loss, duplication or delay draws) and
-/// a lossy/duplicating/delaying one (a loss draw, a delay draw and a
-/// duplication draw per message).
+/// T16 — the flood by network regime: the T15 flood on a clean network
+/// (default uniform delay), a fixed-delay network (no loss, duplication
+/// or delay draws) and a lossy/duplicating/delaying one (a loss draw, a
+/// delay draw and a duplication draw per message).
 ///
-/// Wall-clock events/sec is printed for the operator; only simulated,
-/// machine-independent totals feed the returned rows.
+/// Only simulated, machine-independent totals are printed and returned.
+/// Wall-clock events/sec per regime are perfbench's traced
+/// `simnet.flood.{sampled,fixed,lossy}.events_per_s` rows.
 pub fn t16() -> Vec<(String, u64)> {
-    t16_with(false)
-}
-
-/// [`t16`] with an optional deterministic work-tick profile (see
-/// [`print_work_ticks`]).
-pub fn t16_with(profile: bool) -> Vec<(String, u64)> {
     use ooc_simnet::DelayModel;
 
-    hr("T16  flood throughput by network regime");
+    hr("T16  flood by network regime");
 
     let lossy = NetworkConfig {
         drop_probability: 0.05,
@@ -977,7 +866,10 @@ pub fn t16_with(profile: bool) -> Vec<(String, u64)> {
         ..NetworkConfig::default()
     };
     let mut rows = vec![("t16/engine_seeds".to_string(), FLOOD_SEEDS)];
-    println!("{:<8} {:>10} {:>14}", "network", "secs", "events/sec");
+    println!(
+        "{:<8} {:>10} {:>10} {:>10}",
+        "network", "events", "messages", "sim ticks"
+    );
     for (label, config) in [
         ("clean", NetworkConfig::default()),
         ("fixed", NetworkConfig::reliable(3)),
@@ -985,14 +877,9 @@ pub fn t16_with(profile: bool) -> Vec<(String, u64)> {
     ] {
         let flood = run_flood(&config);
         println!(
-            "{:<8} {:>10.3} {:>14.0}",
-            label,
-            flood.secs,
-            flood.events as f64 / flood.secs
+            "{:<8} {:>10} {:>10} {:>10}",
+            label, flood.events, flood.messages, flood.sim_ticks
         );
-        if profile {
-            print_work_ticks(&format!("t16/{label}"), &flood);
-        }
         rows.push((format!("t16/{label}_events"), flood.events));
         rows.push((format!("t16/{label}_messages"), flood.messages));
         rows.push((format!("t16/{label}_sim_ticks"), flood.sim_ticks));
@@ -1191,11 +1078,9 @@ mod tests {
 
     #[test]
     fn t16_rows_are_deterministic_and_machine_independent() {
-        // The rows must be reproducible (with and without the printed
-        // profile, which must never leak into them) and carry no
-        // wall-clock values.
+        // The rows must be reproducible and carry no wall-clock values.
         let a = t16();
-        let b = t16_with(true);
+        let b = t16();
         assert_eq!(a, b, "t16 must be bit-for-bit reproducible");
         let json = bench_json(&a);
         assert!(json.contains("\"t16/clean_events\""));
