@@ -7,6 +7,14 @@
 //! the exact execution (`ooc-campaign replay art.json`) or minimize it
 //! (`ooc-campaign shrink art.json`); determinism is inherited from the
 //! simulator's seeded RNG discipline.
+//!
+//! The codec is one table per type. Every field type implements the
+//! private `Codec` trait, every object is read through one reader
+//! (`Fields`), each tagged enum is one `(tag, field names)` table
+//! (`Tagged`) and each struct is one row per field (`object_codec!`), so
+//! a field's key, type and default are written once. A field left out reads as its
+//! default, and a field that is present must have its type: `-2` where a
+//! tick count belongs is an error naming the key, not a zero.
 
 use crate::json::{Json, JsonError};
 use ooc_core::checker::{Violation, ViolationKind};
@@ -325,7 +333,7 @@ impl FailureArtifact {
 
     /// The Phase-King attack the artifact names: "silent", "equivocate"
     /// (also when it names none), "random" or "fixed:K". Both
-    /// [`validate`](Self::validate) and the runner read it here.
+    /// `validate` and the runner read it here.
     pub fn parse_attack(&self) -> Result<Attack, String> {
         match self.attack.as_deref() {
             None | Some("equivocate") => Ok(Attack::Equivocate),
@@ -488,7 +496,6 @@ impl FailureArtifact {
     }
 }
 
-
 /// Where a value sits in an artifact, for error messages: the object
 /// that holds it (empty at the top level) and its key.
 #[derive(Clone, Copy)]
@@ -499,7 +506,7 @@ pub(crate) struct At<'a> {
 
 impl<'a> At<'a> {
     /// The value at `key` of `object`.
-    pub(crate) fn new(object: &'a str, key: &'a str) -> Self {
+    fn new(object: &'a str, key: &'a str) -> Self {
         At { object, key }
     }
 }
@@ -910,6 +917,8 @@ macro_rules! object_codec {
     };
 }
 
+// Absent fields read as the clean artifact's; its arguments are the
+// required fields, so the values given here are never read.
 object_codec!(FailureArtifact = FailureArtifact::clean(Algorithm::BenOr, 0, 0, 0, Vec::new()), "", [
     algorithm req,
     n req,
