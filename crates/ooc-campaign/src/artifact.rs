@@ -688,10 +688,13 @@ impl Codec for Vec<ProcessId> {
         let members = json
             .as_arr()
             .ok_or_else(|| format!("{object} group must be an array"))?;
-        let member = |id: &Json| id.as_usize().map(ProcessId);
         members
             .iter()
-            .map(|id| member(id).ok_or_else(|| format!("{object} group member must be a process id")))
+            .map(|id| {
+                id.as_usize()
+                    .map(ProcessId)
+                    .ok_or_else(|| format!("{object} group member must be a process id"))
+            })
             .collect()
     }
 }
@@ -743,7 +746,8 @@ impl<T: Tagged> Codec for T {
     fn encode(&self) -> Json {
         let (row, values) = self.split();
         let (tag, keys) = T::VARIANTS[row];
-        let mut fields = vec![(T::TAG.to_string(), Json::Str(tag.into()))];
+        let mut fields = Vec::with_capacity(1 + keys.len());
+        fields.push((T::TAG.to_string(), Json::Str(tag.into())));
         fields.extend(keys.iter().zip(&values).map(|(key, v)| field(key, v)));
         Json::Obj(fields)
     }
@@ -892,8 +896,10 @@ macro_rules! object_codec {
         impl Codec for $ty {
             fn encode(&self) -> Json {
                 $(#[allow(unused_variables)] let default: $ty = $default;)?
-                let fields = [$(object_codec!(@write $rule, stringify!($field), self.$field, default.$field)),+];
-                Json::Obj(fields.into_iter().flatten().collect())
+                let rows = [$(object_codec!(@write $rule, stringify!($field), self.$field, default.$field)),+];
+                let mut fields = Vec::with_capacity(rows.len());
+                fields.extend(rows.into_iter().flatten());
+                Json::Obj(fields)
             }
 
             fn decode(json: &Json, at: At) -> Result<Self, String> {
@@ -1020,17 +1026,14 @@ impl Codec for (usize, u32) {
 /// `{"policy": "off"}`, or `"retransmit"` followed by its knobs.
 impl Codec for ReliabilityPolicy {
     fn encode(&self) -> Json {
-        let mut fields = Vec::new();
-        let policy = match self {
-            ReliabilityPolicy::Off => "off",
-            ReliabilityPolicy::Retransmit(cfg) => {
-                if let Json::Obj(knobs) = cfg.encode() {
-                    fields = knobs;
-                }
-                "retransmit"
-            }
+        let (policy, knobs) = match self {
+            ReliabilityPolicy::Off => ("off", None),
+            ReliabilityPolicy::Retransmit(cfg) => ("retransmit", Some(cfg.encode())),
         };
-        fields.insert(0, ("policy".to_string(), Json::Str(policy.into())));
+        let mut fields = vec![("policy".to_string(), Json::Str(policy.into()))];
+        if let Some(Json::Obj(knobs)) = knobs {
+            fields.extend(knobs);
+        }
         Json::Obj(fields)
     }
     fn decode(json: &Json, at: At) -> Result<Self, String> {
