@@ -556,8 +556,17 @@ impl<'a> Fields<'a> {
 
     /// The value at `key`, which must be present.
     fn req<T: Codec>(&self, key: &str) -> Result<T, String> {
+        self.req_with(key, T::decode)
+    }
+
+    /// The value at `key`, which must be present, read by `decode`.
+    fn req_with<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&Json, At) -> Result<T, String>,
+    ) -> Result<T, String> {
         match self.json.get(key) {
-            Some(value) => T::decode(value, At::new(self.name, key)),
+            Some(value) => decode(value, At::new(self.name, key)),
             None if self.name.is_empty() => Err(format!("missing \"{key}\"")),
             None => Err(format!("{} missing \"{key}\"", self.name)),
         }
@@ -754,11 +763,9 @@ impl<T: Tagged> Codec for T {
 
     fn decode(json: &Json, at: At) -> Result<Self, String> {
         let fields = Fields::of(T::NAME, json, at)?;
-        let tag: String = fields.req(T::TAG)?;
-        let row = T::VARIANTS
-            .iter()
-            .position(|&(name, _)| name == tag)
-            .ok_or_else(|| format!("unknown {} {tag:?}", At::new(T::NAME, T::TAG)))?;
+        let row = fields.req_with(T::TAG, |tag, at| {
+            named(tag, at, |tag| T::VARIANTS.iter().position(|&(name, _)| name == tag))
+        })?;
         let (name, keys) = T::VARIANTS[row];
         let fields = Fields { name, ..fields };
         let mut values = [0; 3];
@@ -896,9 +903,10 @@ macro_rules! object_codec {
         impl Codec for $ty {
             fn encode(&self) -> Json {
                 $(#[allow(unused_variables)] let default: $ty = $default;)?
-                let rows = [$(object_codec!(@write $rule, stringify!($field), self.$field, default.$field)),+];
-                let mut fields = Vec::with_capacity(rows.len());
-                fields.extend(rows.into_iter().flatten());
+                let mut fields = Vec::with_capacity([$(stringify!($field)),+].len());
+                $(if object_codec!(@write $rule, self.$field, default.$field) {
+                    fields.push(field(stringify!($field), &self.$field));
+                })+
                 Json::Obj(fields)
             }
 
@@ -911,12 +919,8 @@ macro_rules! object_codec {
             }
         }
     };
-    (@write opt, $key:expr, $value:expr, $default:expr) => {
-        ($value != $default).then(|| field($key, &$value))
-    };
-    (@write $rule:ident, $key:expr, $value:expr, $default:expr) => {
-        Some(field($key, &$value))
-    };
+    (@write opt, $value:expr, $default:expr) => { $value != $default };
+    (@write $rule:ident, $value:expr, $default:expr) => { true };
     (@read req, $fields:ident, $field:ident, $default:expr) => { $fields.req(stringify!($field))? };
     (@read $rule:ident, $fields:ident, $field:ident, $default:expr) => {
         $fields.or(stringify!($field), $default)?
@@ -1038,10 +1042,17 @@ impl Codec for ReliabilityPolicy {
     }
     fn decode(json: &Json, at: At) -> Result<Self, String> {
         let fields = Fields::of("reliability", json, at)?;
-        match fields.req::<String>("policy")?.as_str() {
-            "off" => Ok(ReliabilityPolicy::Off),
-            "retransmit" => RetransmitConfig::decode(json, at).map(ReliabilityPolicy::Retransmit),
-            other => Err(format!("unknown {} {other:?}", At::new("reliability", "policy"))),
+        let retransmit = fields.req_with("policy", |policy, at| {
+            named(policy, at, |policy| match policy {
+                "off" => Some(false),
+                "retransmit" => Some(true),
+                _ => None,
+            })
+        })?;
+        if retransmit {
+            RetransmitConfig::decode(json, at).map(ReliabilityPolicy::Retransmit)
+        } else {
+            Ok(ReliabilityPolicy::Off)
         }
     }
 }
