@@ -93,11 +93,16 @@ available parallelism). Output is byte-identical for every N: combos
 derive their seeds from the grid, not the schedule, and results merge
 in stable grid order.";
 
-fn parse_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The value of `flag`, or `None` when the flag is absent. A flag
+/// without a value is an error that names it.
+fn parse_flag<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) => Ok(Some(value)),
+        None => Err(format!("{flag} needs a value")),
+    }
 }
 
 fn has_flag(args: &[String], flag: &str) -> bool {
@@ -105,8 +110,7 @@ fn has_flag(args: &[String], flag: &str) -> bool {
 }
 
 /// The value of `flag` parsed as a `T`, or `default()` when the flag is
-/// absent. A flag without a value, or with one that does not parse, is
-/// an error that names the flag.
+/// absent. A value that does not parse is an error that names the flag.
 fn flag_value<T: FromStr>(
     args: &[String],
     flag: &str,
@@ -115,13 +119,12 @@ fn flag_value<T: FromStr>(
 where
     T::Err: Display,
 {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(default());
-    };
-    let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-    value
-        .parse()
-        .map_err(|e| format!("invalid {flag} {value:?}: {e}"))
+    match parse_flag(args, flag)? {
+        None => Ok(default()),
+        Some(value) => value
+            .parse()
+            .map_err(|e| format!("invalid {flag} {value:?}: {e}")),
+    }
 }
 
 fn parse_jobs(args: &[String]) -> Result<usize, String> {
@@ -153,12 +156,12 @@ fn positional_args<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str>
 fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
     let algorithms = parse_algorithms(args)?;
     let combos = flag_value(args, "--combos", || 1000)?;
-    let out_dir = PathBuf::from(parse_flag(args, "--out").unwrap_or("campaign-artifacts"));
+    let out_dir = PathBuf::from(parse_flag(args, "--out")?.unwrap_or("campaign-artifacts"));
     let sabotage = has_flag(args, "--sabotage");
     let do_shrink = has_flag(args, "--shrink");
     let jobs = parse_jobs(args)?;
 
-    if let Some(name) = parse_flag(args, "--storage") {
+    if let Some(name) = parse_flag(args, "--storage")? {
         let policy = StoragePolicy::from_name(name).ok_or_else(|| {
             format!(
                 "unknown storage policy {name:?} \
@@ -192,7 +195,7 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
 
 /// The `--algorithm` flag: one algorithm, or all three by default.
 fn parse_algorithms(args: &[String]) -> Result<Vec<Algorithm>, String> {
-    match parse_flag(args, "--algorithm") {
+    match parse_flag(args, "--algorithm")? {
         None | Some("all") => Ok(Algorithm::all().to_vec()),
         Some(name) => Algorithm::parse(name)
             .map(|a| vec![a])
@@ -291,6 +294,7 @@ fn write_flagged(
 fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     let algorithms = parse_algorithms(args)?;
     let combos = flag_value(args, "--combos", || 200)?;
+    let out = parse_flag(args, "--out")?;
     let reports = collect_reports_jobs(&algorithms, combos, parse_jobs(args)?);
     for r in &reports {
         println!(
@@ -305,7 +309,7 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     let text = report_json(&reports).pretty();
-    if let Err(code) = write_report(args, &text) {
+    if let Err(code) = write_report(out, &text) {
         return Ok(code);
     }
     Ok(ExitCode::SUCCESS)
@@ -313,8 +317,8 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
 
 /// Writes a report to the `--out` file, creating its directory, or to
 /// stdout. A failure is printed and returned as exit code 1.
-fn write_report(args: &[String], text: &str) -> Result<(), ExitCode> {
-    let Some(path) = parse_flag(args, "--out") else {
+fn write_report(out: Option<&str>, text: &str) -> Result<(), ExitCode> {
+    let Some(path) = out else {
         print!("{text}");
         return Ok(());
     };
@@ -339,6 +343,8 @@ fn cmd_degradation(args: &[String]) -> Result<ExitCode, String> {
         return Err("--seeds must be at least 1".into());
     }
     let jobs = parse_jobs(args)?;
+    let out = parse_flag(args, "--out")?;
+    let artifacts_dir = parse_flag(args, "--artifacts")?;
     // `--reliability` arms the engine's retransmission layer at its
     // defaults and switches to the reliability report schema; without it
     // the classic fire-and-forget report reproduces byte-for-byte.
@@ -369,10 +375,10 @@ fn cmd_degradation(args: &[String]) -> Result<ExitCode, String> {
     } else {
         degradation_json(&report).pretty()
     };
-    if let Err(code) = write_report(args, &text) {
+    if let Err(code) = write_report(out, &text) {
         return Ok(code);
     }
-    if let Some(dir) = parse_flag(args, "--artifacts") {
+    if let Some(dir) = artifacts_dir {
         let dir = Path::new(dir);
         let artifacts = degradation_artifacts_with(seeds, report.reliability);
         for (i, art) in artifacts.iter().enumerate() {
@@ -466,6 +472,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_shrink(args: &[String]) -> Result<ExitCode, String> {
     let path = args.first().ok_or_else(|| USAGE.to_string())?;
+    let out = parse_flag(args, "--out")?;
     let art = load_artifact(path)?;
     Ok(match shrink(&art) {
         None => {
@@ -473,11 +480,9 @@ fn cmd_shrink(args: &[String]) -> Result<ExitCode, String> {
             ExitCode::FAILURE
         }
         Some(report) => {
-            let out_path = parse_flag(args, "--out")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| {
-                    PathBuf::from(path.strip_suffix(".json").unwrap_or(path).to_string() + ".min.json")
-                });
+            let out_path = out.map(PathBuf::from).unwrap_or_else(|| {
+                PathBuf::from(path.strip_suffix(".json").unwrap_or(path).to_string() + ".min.json")
+            });
             println!(
                 "shrunk in {} steps ({} probe runs): size {} -> {}",
                 report.steps,

@@ -8,8 +8,11 @@ use std::process::Command;
 fn unusable_flag_values_exit_2_naming_the_flag() {
     let dir = std::env::temp_dir().join(format!("ooc-cli-flags-{}", std::process::id()));
     let out = dir.to_str().expect("the temp dir is UTF-8");
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["degradation", "--seeds", "0"], "--seeds"),
+        (&["degradation", "--seeds", "1", "--artifacts"], "--artifacts"),
+        (&["report", "--combos", "1", "--algorithm"], "--algorithm"),
+        (&["shrink", "artifact.json", "--out"], "--out"),
         (&["degradation", "--reliability", "--seeds", "0"], "--seeds"),
         (&["degradation", "--seeds", "x"], "--seeds"),
         (&["report", "--combos", "abc"], "--combos"),
