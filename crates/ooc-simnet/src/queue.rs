@@ -84,8 +84,8 @@ pub(crate) struct TimingWheel<T> {
     occupied: [u64; BITMAP_WORDS],
     /// Far-future events (`at - cursor >= WHEEL_SLOTS`), keyed by
     /// `(at, seq)` — a flat sorted map, so a push is one node insert
-    /// with no per-tick side allocation, and migration is a single
-    /// `split_off` at the window boundary.
+    /// with no per-tick side allocation, and migration removes entries
+    /// from its front one by one, only those that enter the window.
     overflow: BTreeMap<(u64, u64), T>,
     /// No unpopped event has a tick earlier than the cursor.
     cursor: u64,
@@ -216,20 +216,19 @@ impl<T> TimingWheel<T> {
     /// Eagerness is load-bearing for `seq` order — see the module docs.
     fn advance_to(&mut self, at: u64) {
         self.cursor = at;
-        let in_window = match self.cursor.checked_add(WHEEL_SLOTS as u64) {
-            // One cut at the window boundary: everything below it moves.
-            Some(end) => {
-                let rest = self.overflow.split_off(&(end, 0));
-                std::mem::replace(&mut self.overflow, rest)
+        // Entries leave from the front in `(at, seq)` order, so each
+        // tick's entries arrive in `seq` order, ahead of any later direct
+        // push for that tick; each in-window tick maps to its own (empty —
+        // a resident tick with the same residue would have to equal it)
+        // bucket. The first entry still past the window ends the walk and
+        // stays where it is, with everything behind it. No overflow entry
+        // is earlier than the cursor, so `tick - cursor` cannot wrap.
+        while let Some(entry) = self.overflow.first_entry() {
+            let tick = entry.key().0;
+            if tick - self.cursor >= WHEEL_SLOTS as u64 {
+                break;
             }
-            // The window reaches the end of time: everything moves.
-            None => std::mem::take(&mut self.overflow),
-        };
-        // `(at, seq)` iteration order means each tick's entries arrive in
-        // `seq` order, ahead of any later direct push for that tick; each
-        // in-window tick maps to its own (empty — a resident tick with
-        // the same residue would have to equal it) bucket.
-        for ((tick, _), item) in in_window {
+            let (_, item) = entry.remove_entry();
             self.append(tick, item);
         }
     }
@@ -337,6 +336,116 @@ mod tests {
         assert_eq!(pop(&mut wheel), Some((5_000, "overflow-early")));
         assert_eq!(pop(&mut wheel), Some((5_000, "direct-late")));
         assert!(pop(&mut wheel).is_none());
+    }
+
+    #[test]
+    fn a_standing_far_entry_is_left_alone_while_the_window_drains() {
+        // A far-future entry (a scheduled restart, say) must not be
+        // rebuilt or moved by the cursor advances of thousands of
+        // in-window events: its slot in the overflow map stays where it
+        // is until it enters the window.
+        let far = 1_000_000u64;
+        let mut wheel = TimingWheel::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        wheel.push(far, 0, 0);
+        heap.push(Reverse((far, 0)));
+        let standing: *const u64 = wheel.overflow.values().next().expect("far entry queued");
+        let mut rng = SplitMix64::new(7);
+        let (mut now, mut advances) = (0u64, 0u64);
+        for seq in 1..20_000u64 {
+            if rng.chance(0.5) {
+                let at = now + rng.below(WHEEL_SLOTS as u64);
+                wheel.push(at, seq, seq);
+                heap.push(Reverse((at, seq)));
+            } else if wheel.len() > 1 {
+                let popped = pop(&mut wheel);
+                assert_eq!(popped, heap.pop().map(|Reverse(p)| p), "seq {seq}");
+                let (at, _) = popped.expect("an in-window event is queued");
+                advances += u64::from(at > now);
+                now = at;
+            }
+            assert!(now + (WHEEL_SLOTS as u64) < far, "the window must stay short of the far entry");
+            assert_eq!(wheel.overflow.len(), 1, "seq {seq}");
+            assert!(
+                std::ptr::eq(wheel.overflow.values().next().expect("still queued"), standing),
+                "seq {seq}: the standing entry was moved"
+            );
+        }
+        assert!(advances > 1_000, "only {advances} cursor advances");
+        while let Some(w) = pop(&mut wheel) {
+            assert_eq!(Some(w), heap.pop().map(|Reverse(p)| p));
+        }
+        assert!(heap.is_empty());
+    }
+
+    #[test]
+    fn the_last_window_tick_migrates_and_the_next_one_stays() {
+        let mut wheel = TimingWheel::new();
+        let cursor = 10;
+        // Both land in overflow: from cursor 0 they are past the window.
+        wheel.push(cursor + WHEEL_SLOTS as u64 - 1, 0, "last in window");
+        wheel.push(cursor + WHEEL_SLOTS as u64, 1, "first past it");
+        wheel.push(cursor, 2, "advance");
+        assert_eq!(wheel.overflow.len(), 2);
+        assert_eq!(pop(&mut wheel), Some((cursor, "advance")));
+        assert_eq!(wheel.cursor, cursor);
+        let left: Vec<_> = wheel.overflow.keys().copied().collect();
+        assert_eq!(left, [(cursor + WHEEL_SLOTS as u64, 1)]);
+        assert_eq!(
+            pop(&mut wheel),
+            Some((cursor + WHEEL_SLOTS as u64 - 1, "last in window"))
+        );
+        assert!(wheel.overflow.is_empty());
+        assert_eq!(pop(&mut wheel), Some((cursor + WHEEL_SLOTS as u64, "first past it")));
+        assert!(pop(&mut wheel).is_none());
+    }
+
+    #[test]
+    fn overflow_shrinks_only_by_the_entries_that_enter_the_window() {
+        // A model of the overflow level: an entry joins it when pushed at
+        // least a window past the cursor and leaves it exactly when a
+        // cursor advance brings it within the window.
+        for seed in 0..20u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut wheel = TimingWheel::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut model: std::collections::BTreeSet<(u64, u64)> = Default::default();
+            let mut migrations = 0usize;
+            let mut now = 0u64;
+            for seq in 0..5_000u64 {
+                if rng.chance(0.55) {
+                    let at = match rng.below(4) {
+                        0 => now + rng.below(64),
+                        1 => now + WHEEL_SLOTS as u64 - 2 + rng.below(4),
+                        _ => now + rng.below(WHEEL_SLOTS as u64 * 4),
+                    };
+                    wheel.push(at, seq, seq);
+                    heap.push(Reverse((at, seq)));
+                    if at - wheel.cursor >= WHEEL_SLOTS as u64 {
+                        model.insert((at, seq));
+                    }
+                } else if let Some((at, item)) = pop(&mut wheel) {
+                    assert_eq!(Some((at, item)), heap.pop().map(|Reverse(p)| p), "seed {seed}");
+                    now = at;
+                    let entered: Vec<_> = model
+                        .iter()
+                        .copied()
+                        .take_while(|&(tick, _)| tick - at < WHEEL_SLOTS as u64)
+                        .collect();
+                    migrations += entered.len();
+                    for key in entered {
+                        model.remove(&key);
+                    }
+                }
+                assert!(
+                    wheel.overflow.keys().copied().eq(model.iter().copied()),
+                    "seed {seed} seq {seq}: overflow holds {} entries, the model {}",
+                    wheel.overflow.len(),
+                    model.len()
+                );
+            }
+            assert!(migrations > 100, "seed {seed}: only {migrations} migrations");
+        }
     }
 
     #[test]
