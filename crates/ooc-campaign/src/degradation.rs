@@ -195,7 +195,9 @@ pub fn degradation_report_with(
 ) -> DegradationReport {
     let artifacts = degradation_artifacts_with(seeds, reliability);
     let outcomes = run_all(&artifacts, jobs);
-    let mut it = outcomes.chunks(seeds.max(1));
+    // `seeds` outcomes per cell, in cell order; at zero seeds every cell
+    // is empty and reports zero runs.
+    let mut rest = outcomes.as_slice();
     let mut report = DegradationReport {
         n: N,
         t: T,
@@ -206,7 +208,8 @@ pub fn degradation_report_with(
     for (regime, ..) in regimes() {
         let mut cells = Vec::new();
         for (adversary, _) in ladder() {
-            let outs = it.next().expect("one chunk per cell");
+            let (outs, tail) = rest.split_at(seeds);
+            rest = tail;
             let mut agreed = 0u64;
             let mut safety_violations = 0u64;
             let mut stalled = 0u64;
@@ -432,6 +435,35 @@ mod tests {
                 .and_then(Json::as_str),
             Some("retransmit")
         );
+    }
+
+    #[test]
+    fn zero_seeds_give_a_report_of_empty_cells() {
+        type Report = fn(usize, usize) -> DegradationReport;
+        let reports: [(Report, &str); 2] = [
+            (degradation_report_jobs, "classic"),
+            (degradation_reliability_report_jobs, "reliability"),
+        ];
+        for (report_of, label) in reports {
+            for jobs in [1, 2] {
+                let report = report_of(0, jobs);
+                assert_eq!(report.seeds, 0, "{label} jobs={jobs}");
+                assert_eq!(report.regimes.len(), 4, "{label} jobs={jobs}");
+                for regime in &report.regimes {
+                    assert_eq!(regime.cells.len(), 4, "{label} jobs={jobs}");
+                    for cell in &regime.cells {
+                        assert_eq!(
+                            (cell.runs, cell.agreed, cell.agreement_permille),
+                            (0, 0, 0),
+                            "{label} jobs={jobs}: {}/{}",
+                            regime.regime,
+                            cell.adversary
+                        );
+                        assert_eq!(cell.rounds_to_decide, PercentileSummary::of(&[]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
