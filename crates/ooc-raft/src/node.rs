@@ -20,7 +20,6 @@ use crate::state::{LeaderState, PersistentState, Role, VolatileState};
 use crate::types::{DecideAndStop, LogEntry, LogIndex, Term};
 use ooc_core::Confidence;
 use ooc_simnet::{Context, Process, ProcessId, SimDuration, TimerId};
-use std::collections::BTreeSet;
 
 /// Timing knobs. All values are simulator ticks; the paper's *timing
 /// property* requires `broadcast time ≪ election timeout ≪ MTBF`.
@@ -78,7 +77,9 @@ pub struct RaftNode {
     persistent: PersistentState,
     volatile: VolatileState,
     leader: LeaderState,
-    votes: BTreeSet<ProcessId>,
+    /// Distinct voters of the current candidacy. Cleared, never dropped,
+    /// between elections, so only the first candidacy allocates it.
+    votes: Vec<ProcessId>,
     election_timer: Option<TimerId>,
     heartbeat_timer: Option<TimerId>,
     decided: Option<u64>,
@@ -97,7 +98,7 @@ impl RaftNode {
             persistent: PersistentState::default(),
             volatile: VolatileState::default(),
             leader: LeaderState::default(),
-            votes: BTreeSet::new(),
+            votes: Vec::new(),
             election_timer: None,
             heartbeat_timer: None,
             decided: None,
@@ -149,6 +150,11 @@ impl RaftNode {
     /// The instrumentation event stream.
     pub fn events(&self) -> &[RaftEvent] {
         &self.events
+    }
+
+    /// Consumes the node, keeping only its instrumentation event stream.
+    pub fn into_events(self) -> Vec<RaftEvent> {
+        self.events
     }
 
     /// When this node first became a leader, if ever.
@@ -214,7 +220,7 @@ impl RaftNode {
         durable::persist_hardstate(ctx, &self.persistent);
         self.volatile.role = Role::Candidate;
         self.votes.clear();
-        self.votes.insert(ctx.me());
+        self.votes.push(ctx.me());
         self.events.push(RaftEvent::ElectionStarted {
             term: self.persistent.current_term,
         });
@@ -245,7 +251,7 @@ impl RaftNode {
         if self.first_led_at.is_none() {
             self.first_led_at = Some(ctx.now());
         }
-        self.leader = LeaderState::new(ctx.n(), self.persistent.log.last_index());
+        self.leader.reset(ctx.n(), self.persistent.log.last_index());
         self.events.push(RaftEvent::BecameLeader {
             term: self.persistent.current_term,
         });
@@ -409,7 +415,9 @@ impl RaftNode {
         {
             return;
         }
-        self.votes.insert(from);
+        if !self.votes.contains(&from) {
+            self.votes.push(from);
+        }
         if self.votes.len() * 2 > ctx.n() {
             self.become_leader(ctx);
         }

@@ -58,10 +58,18 @@ impl LeaderState {
     /// Fresh leader state for an `n`-processor cluster whose leader's log
     /// ends at `last`.
     pub fn new(n: usize, last: LogIndex) -> Self {
-        LeaderState {
-            next_index: vec![last.next(); n],
-            match_index: vec![LogIndex::ZERO; n],
-        }
+        let mut state = LeaderState::default();
+        state.reset(n, last);
+        state
+    }
+
+    /// Reinitialises the state in place for a new leadership, as
+    /// [`new`](LeaderState::new) would build it, reusing its buffers.
+    pub fn reset(&mut self, n: usize, last: LogIndex) {
+        self.next_index.clear();
+        self.next_index.resize(n, last.next());
+        self.match_index.clear();
+        self.match_index.resize(n, LogIndex::ZERO);
     }
 }
 
@@ -74,6 +82,14 @@ mod tests {
         let ls = LeaderState::new(3, LogIndex(4));
         assert_eq!(ls.next_index, vec![LogIndex(5); 3]);
         assert_eq!(ls.match_index, vec![LogIndex::ZERO; 3]);
+    }
+
+    #[test]
+    fn reset_rebuilds_what_new_builds() {
+        let mut ls = LeaderState::new(5, LogIndex(9));
+        ls.match_index[2] = LogIndex(9);
+        ls.reset(3, LogIndex(4));
+        assert_eq!(ls, LeaderState::new(3, LogIndex(4)));
     }
 
     #[test]

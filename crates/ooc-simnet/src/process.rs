@@ -4,6 +4,7 @@ use crate::rng::SplitMix64;
 use crate::storage::StableStore;
 use crate::time::{SimDuration, SimTime};
 use crate::{ProcessId, TimerId};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 
@@ -151,7 +152,10 @@ pub(crate) struct Outgoing<M> {
 #[derive(Debug, Clone)]
 pub(crate) enum StorageOp {
     /// Append one key/value record to the process's [`StableStore`].
-    Put { key: String, value: Vec<u8> },
+    Put {
+        key: Cow<'static, str>,
+        value: Vec<u8>,
+    },
     /// Move the store's synced watermark to the end of the log.
     Sync,
 }
@@ -344,7 +348,7 @@ impl<'a, M: Clone, O> Context<'a, M, O> {
     /// something its storage does not know. Whether the record survives a
     /// crash before the next [`sync_storage`](Context::sync_storage)
     /// depends on the process's [`StoragePolicy`](crate::StoragePolicy).
-    pub fn persist(&mut self, key: impl Into<String>, value: Vec<u8>) {
+    pub fn persist(&mut self, key: impl Into<Cow<'static, str>>, value: Vec<u8>) {
         self.effects.storage.push(StorageOp::Put {
             key: key.into(),
             value,

@@ -376,12 +376,13 @@ impl<P: Process> SimBuilder<P> {
                 n,
             )),
         };
+        let (self_delay, fifo_links) = (self.config.self_delay, self.config.fifo_links);
+        // Without an adversary of its own the run routes by the network
+        // config, which moves into the default adversary uncopied.
         let adversary = match (self.adversary, self.state_adversary) {
             (_, Some(state)) => RoutingAdversary::State(state),
             (Some(msg), None) => RoutingAdversary::Message(msg),
-            (None, None) => {
-                RoutingAdversary::Message(Box::new(NetworkAdversary::new(self.config.clone())))
-            }
+            (None, None) => RoutingAdversary::Message(Box::new(NetworkAdversary::new(self.config))),
         };
         let crash_thresholds = (0..n)
             .map(|i| self.faults.event_crash_threshold(ProcessId(i)))
@@ -390,8 +391,8 @@ impl<P: Process> SimBuilder<P> {
         let mut sim = Sim {
             processes: self.processes,
             adversary,
-            self_delay: self.config.self_delay,
-            fifo_links: self.config.fifo_links,
+            self_delay,
+            fifo_links,
             clocks: self.clocks,
             sync_latency: (0..n)
                 .map(|i| self.storage.sync_latency_for(ProcessId(i)))
@@ -659,6 +660,12 @@ impl<P: Process> Sim<P> {
     /// run.
     pub fn process(&self, id: ProcessId) -> &P {
         &self.processes[id.index()]
+    }
+
+    /// Ends the simulation and hands back its processes in id order, so
+    /// their final state can be kept without a copy.
+    pub fn into_processes(self) -> Vec<P> {
+        self.processes
     }
 
     /// Whether the process is currently crashed.
@@ -1048,7 +1055,7 @@ impl<P: Process> Sim<P> {
                     StorageOp::Put { key, value } => {
                         self.metrics.incr_by_id(self.metric_ids.storage_writes, 1);
                         let traced_key =
-                            (self.trace.level() == TraceLevel::Full).then(|| key.clone());
+                            (self.trace.level() == TraceLevel::Full).then(|| key.to_string());
                         self.trace.push(TraceEvent::Persist {
                             at: self.now,
                             process: pid,

@@ -32,6 +32,7 @@
 //! byte-identity contract.
 
 use crate::ProcessId;
+use std::borrow::Cow;
 
 /// What a crash does to the unsynced (and, for `Amnesia`, synced)
 /// contents of a process's [`StableStore`].
@@ -85,8 +86,9 @@ impl StoragePolicy {
 pub struct StorageRecord {
     /// The record's key. Later records for the same key shadow earlier
     /// ones on lookup; recovery code scanning in reverse sees the newest
-    /// surviving record first.
-    pub key: String,
+    /// surviving record first. Processes persist under a handful of
+    /// fixed keys, so a `&'static str` key is borrowed, not copied.
+    pub key: Cow<'static, str>,
     /// The record's value bytes.
     pub value: Vec<u8>,
 }
@@ -153,8 +155,11 @@ impl StableStore {
     /// is synced immediately. Processes persist through
     /// [`Context::persist`](crate::Context::persist); direct appends are
     /// for building fixture stores in recovery tests.
-    pub fn append(&mut self, key: String, value: Vec<u8>) {
-        self.records.push(StorageRecord { key, value });
+    pub fn append(&mut self, key: impl Into<Cow<'static, str>>, value: Vec<u8>) {
+        self.records.push(StorageRecord {
+            key: key.into(),
+            value,
+        });
         if self.policy == StoragePolicy::SyncAlways {
             self.synced = self.records.len();
         }
@@ -322,15 +327,15 @@ mod tests {
         store
             .records()
             .iter()
-            .map(|r| (r.key.as_str(), r.value.as_slice()))
+            .map(|r| (&*r.key, r.value.as_slice()))
             .collect()
     }
 
     #[test]
     fn sync_always_survives_crash() {
         let mut s = StableStore::new(StoragePolicy::SyncAlways);
-        s.append("a".into(), vec![1]);
-        s.append("b".into(), vec![2]);
+        s.append("a", vec![1]);
+        s.append("b", vec![2]);
         assert_eq!(s.unsynced(), 0, "SyncAlways syncs every write");
         assert_eq!(s.apply_crash(), 0);
         assert_eq!(rec(&s), vec![("a", &[1u8][..]), ("b", &[2u8][..])]);
@@ -339,10 +344,10 @@ mod tests {
     #[test]
     fn lose_unsynced_drops_suffix_keeps_synced_prefix() {
         let mut s = StableStore::new(StoragePolicy::LoseUnsynced);
-        s.append("a".into(), vec![1]);
+        s.append("a", vec![1]);
         assert_eq!(s.sync(), 1);
-        s.append("b".into(), vec![2]);
-        s.append("c".into(), vec![3]);
+        s.append("b", vec![2]);
+        s.append("c", vec![3]);
         assert_eq!(s.unsynced(), 2);
         assert_eq!(s.apply_crash(), 2);
         assert_eq!(rec(&s), vec![("a", &[1u8][..])]);
@@ -352,8 +357,8 @@ mod tests {
     #[test]
     fn torn_last_write_truncates_only_final_record() {
         let mut s = StableStore::new(StoragePolicy::TornLastWrite);
-        s.append("a".into(), vec![1, 2, 3, 4]);
-        s.append("b".into(), vec![5, 6, 7, 8, 9]);
+        s.append("a", vec![1, 2, 3, 4]);
+        s.append("b", vec![5, 6, 7, 8, 9]);
         assert_eq!(s.apply_crash(), 1);
         // "a" intact, "b" torn to ⌊5/2⌋ = 2 bytes.
         assert_eq!(rec(&s), vec![("a", &[1u8, 2, 3, 4][..]), ("b", &[5u8, 6][..])]);
@@ -364,7 +369,7 @@ mod tests {
     #[test]
     fn torn_last_write_spares_synced_records() {
         let mut s = StableStore::new(StoragePolicy::TornLastWrite);
-        s.append("a".into(), vec![1, 2]);
+        s.append("a", vec![1, 2]);
         s.sync();
         assert_eq!(s.apply_crash(), 0);
         assert_eq!(rec(&s), vec![("a", &[1u8, 2][..])]);
@@ -373,9 +378,9 @@ mod tests {
     #[test]
     fn amnesia_loses_everything_even_synced() {
         let mut s = StableStore::new(StoragePolicy::Amnesia);
-        s.append("a".into(), vec![1]);
+        s.append("a", vec![1]);
         s.sync();
-        s.append("b".into(), vec![2]);
+        s.append("b", vec![2]);
         assert_eq!(s.apply_crash(), 2);
         assert!(s.is_empty());
     }
@@ -384,9 +389,9 @@ mod tests {
     fn get_returns_newest_record_for_key() {
         let mut s = StableStore::new(StoragePolicy::SyncAlways);
         assert_eq!(s.get("x"), None);
-        s.append("x".into(), vec![1]);
-        s.append("y".into(), vec![2]);
-        s.append("x".into(), vec![3]);
+        s.append("x", vec![1]);
+        s.append("y", vec![2]);
+        s.append("x", vec![3]);
         assert_eq!(s.get("x"), Some(&[3u8][..]));
         assert_eq!(s.get("y"), Some(&[2u8][..]));
         assert_eq!(s.len(), 3);
