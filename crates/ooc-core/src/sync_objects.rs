@@ -52,6 +52,9 @@ impl<'a, M: Clone> SyncObjCtx<'a, M> {
 
     /// Sends to every processor including the caller.
     pub fn broadcast(&mut self, msg: M) {
+        // Grow once to the broadcast's size, not by doubling: a template
+        // reuses the outbox, so this sizes it for the rest of the run.
+        self.outbox.reserve(self.n);
         for i in 0..self.n {
             self.outbox.push((ProcessId(i), msg.clone()));
         }

@@ -76,6 +76,10 @@ impl<M: Clone> StepBuffers<M> {
         step: impl FnOnce(&[(ProcessId, M)], &mut SyncObjCtx<'_, M>) -> T,
     ) -> (T, u64) {
         self.inbox.clear();
+        // The network inbox bounds what the component claims, so the
+        // buffer grows once to its size, not by doubling, and is reused
+        // at every later step of the run.
+        self.inbox.reserve(inbox.len());
         self.inbox.extend(
             inbox
                 .iter()

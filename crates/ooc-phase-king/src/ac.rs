@@ -50,16 +50,27 @@ impl PhaseKingAc {
     }
 }
 
+/// The largest exchange whose senders [`tally`] marks without allocating.
+const STACK_SENDERS: usize = 256;
+
 /// Tallies one value per distinct sender of an `n`-processor exchange:
 /// `counts[k]` is the number of senders whose first value in the domain
 /// `0..D` is `k`. A Byzantine processor that sends several messages in
 /// one exchange is counted once. A value outside the domain is discarded
 /// without marking its sender, so a later in-domain value from the same
 /// sender still counts. Senders are marked in a bitmap over the `n` ids,
-/// the tally's one allocation.
+/// kept on the stack for up to [`STACK_SENDERS`] processes; only a larger
+/// exchange allocates it.
 pub(crate) fn tally<const D: usize>(inbox: &[(ProcessId, u64)], n: usize) -> [usize; D] {
     let mut counts = [0usize; D];
-    let mut seen = vec![0u64; n.div_ceil(64)];
+    let mut stack = [0u64; STACK_SENDERS / 64];
+    let mut heap = Vec::new();
+    let seen: &mut [u64] = if n <= STACK_SENDERS {
+        &mut stack
+    } else {
+        heap.resize(n.div_ceil(64), 0);
+        &mut heap
+    };
     for &(from, value) in inbox {
         if value < D as u64 {
             let (word, bit) = (from.index() / 64, 1u64 << (from.index() % 64));
@@ -231,5 +242,23 @@ mod tests {
         // later in-domain value counts, once.
         let late = vec![(ProcessId(2), 5u64), (ProcessId(2), 0), (ProcessId(2), 1)];
         assert_eq!(tally::<2>(&late, 7), [1, 0]);
+    }
+
+    #[test]
+    fn large_exchanges_tally_like_small_ones() {
+        // Past the stack bitmap's reach the senders are marked on the
+        // heap; senders in both the first and the last word count once.
+        for n in [STACK_SENDERS, STACK_SENDERS + 1, 3 * STACK_SENDERS + 5] {
+            let last = ProcessId(n - 1);
+            let inbox = vec![
+                (ProcessId(0), 1u64),
+                (last, 0),
+                (ProcessId(0), 0),
+                (last, 1),
+                (ProcessId(63), 7),
+                (ProcessId(63), 1),
+            ];
+            assert_eq!(tally::<2>(&inbox, n), [1, 2], "n = {n}");
+        }
     }
 }

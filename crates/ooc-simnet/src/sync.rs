@@ -243,8 +243,10 @@ impl<P: SyncProcess> SyncSim<P> {
         let master = SplitMix64::new(seed);
         SyncSim {
             rngs: (0..n).map(|i| master.derive(i as u64)).collect(),
-            inboxes: vec![Vec::new(); n],
-            next_inboxes: vec![Vec::new(); n],
+            // One message from every process fills an inbox: sized for
+            // that once, a run's inboxes never grow in a round.
+            inboxes: (0..n).map(|_| Vec::with_capacity(n)).collect(),
+            next_inboxes: (0..n).map(|_| Vec::with_capacity(n)).collect(),
             outbox: Vec::new(),
             crashed: vec![false; n],
             halted: vec![false; n],
