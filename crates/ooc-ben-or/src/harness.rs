@@ -307,15 +307,12 @@ pub fn run_decomposed_gray(
     }
     let mut sim = builder.build();
     let outcome = sim.run(cfg.run_limit);
-    let histories: Vec<_> = (0..cfg.n)
-        .map(|i| sim.process(ProcessId(i)).history().to_vec())
+    let processes = sim.into_processes();
+    let open_rounds: Vec<(u64, bool)> = processes
+        .iter()
+        .map(|p| (p.round(), *p.preference()))
         .collect();
-    let open_rounds: Vec<(u64, bool)> = (0..cfg.n)
-        .map(|i| {
-            let p = sim.process(ProcessId(i));
-            (p.round(), *p.preference())
-        })
-        .collect();
+    let histories = processes.into_iter().map(Template::into_history).collect();
     analyze(cfg, inputs, outcome, histories, open_rounds)
 }
 
@@ -347,15 +344,12 @@ pub fn run_composed(cfg: &BenOrConfig, inputs: &[bool], seed: u64) -> BenOrRun {
         }))
         .build();
     let outcome = sim.run(RunLimit::default());
-    let histories: Vec<_> = (0..cfg.n)
-        .map(|i| sim.process(ProcessId(i)).history().to_vec())
+    let processes = sim.into_processes();
+    let open_rounds: Vec<(u64, bool)> = processes
+        .iter()
+        .map(|p| (p.round(), *p.preference()))
         .collect();
-    let open_rounds: Vec<(u64, bool)> = (0..cfg.n)
-        .map(|i| {
-            let p = sim.process(ProcessId(i));
-            (p.round(), *p.preference())
-        })
-        .collect();
+    let histories = processes.into_iter().map(Template::into_history).collect();
     analyze(cfg, inputs, outcome, histories, open_rounds)
 }
 

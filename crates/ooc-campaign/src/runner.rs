@@ -102,8 +102,37 @@ fn run_ben_or(artifact: &FailureArtifact) -> CampaignOutcome {
     // ooc-lint::allow(determinism/wall-clock, "campaign duration reporting only; never feeds the schedule")
     let started = Instant::now();
     let budget = artifact_budget(artifact);
+    // One copy of the artifact's network for the run; an adversary that
+    // routes over it gets its own.
+    let network = network_of(artifact);
+    let inputs: Vec<bool> = artifact.inputs.iter().map(|&v| v != 0).collect();
+    let adversary: Option<Box<dyn Adversary<BenOrWire>>> = match artifact.adversary {
+        AdversarySpec::SplitVote {
+            until_ticks,
+            slow_ticks,
+        } => Some(Box::new(SplitVoteAdversary::new(
+            until_ticks,
+            slow_ticks,
+            network.clone(),
+        ))),
+        _ => None,
+    };
+    let state_adversary: Option<Box<dyn StateAdversary<BenOrWire>>> = match artifact.adversary {
+        AdversarySpec::StateSplitVote { until_ticks } => Some(Box::new(
+            VoteSplitStateAdversary::new(SimTime::from_ticks(until_ticks), network.clone()),
+        )),
+        AdversarySpec::QuorumFlap {
+            until_ticks,
+            period,
+        } => Some(Box::new(QuorumStarveAdversary::new(
+            SimTime::from_ticks(until_ticks),
+            period,
+            network.clone(),
+        ))),
+        _ => None,
+    };
     let mut cfg = BenOrConfig::new(artifact.n, artifact.t)
-        .with_network(network_of(artifact))
+        .with_network(network)
         .with_faults(faults_to_plan(&artifact.faults))
         .with_max_rounds(artifact.max_rounds)
         .with_run_limit(RunLimit {
@@ -119,32 +148,6 @@ fn run_ben_or(artifact: &FailureArtifact) -> CampaignOutcome {
     if let Some(th) = artifact.sabotage_commit_threshold {
         cfg = cfg.with_sabotaged_commit_threshold(th);
     }
-    let inputs: Vec<bool> = artifact.inputs.iter().map(|&v| v != 0).collect();
-    let adversary: Option<Box<dyn Adversary<BenOrWire>>> = match artifact.adversary {
-        AdversarySpec::SplitVote {
-            until_ticks,
-            slow_ticks,
-        } => Some(Box::new(SplitVoteAdversary::new(
-            until_ticks,
-            slow_ticks,
-            network_of(artifact),
-        ))),
-        _ => None,
-    };
-    let state_adversary: Option<Box<dyn StateAdversary<BenOrWire>>> = match artifact.adversary {
-        AdversarySpec::StateSplitVote { until_ticks } => Some(Box::new(
-            VoteSplitStateAdversary::new(SimTime::from_ticks(until_ticks), network_of(artifact)),
-        )),
-        AdversarySpec::QuorumFlap {
-            until_ticks,
-            period,
-        } => Some(Box::new(QuorumStarveAdversary::new(
-            SimTime::from_ticks(until_ticks),
-            period,
-            network_of(artifact),
-        ))),
-        _ => None,
-    };
     let storage = if artifact.sync_latency > 0 {
         StorageFaultPlan::default().with_sync_latency(artifact.sync_latency)
     } else {

@@ -16,7 +16,6 @@
 use crate::confidence::{AcOutcome, Confidence, VacOutcome};
 use crate::template::RoundRecord;
 use ooc_simnet::ProcessId;
-use std::collections::BTreeSet;
 use std::fmt::{self, Debug};
 
 /// One processor's view of one object invocation round.
@@ -108,7 +107,7 @@ impl<V: Clone + Debug + PartialEq + Ord> RoundOutcomes<V> {
     /// that did not complete the round are simply absent (the coherence
     /// laws quantify over outcomes actually received).
     pub fn from_histories(round: u64, histories: &[(ProcessId, &[RoundRecord<V>])]) -> Self {
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(histories.len());
         for (pid, hist) in histories {
             if let Some(rec) = hist.iter().find(|r| r.round == round) {
                 entries.push(RoundEntry {
@@ -182,15 +181,14 @@ impl<V: Clone + Debug + PartialEq + Ord> RoundOutcomes<V> {
     /// Validity: every output value equals some processor's input
     /// (including inputs of processors that never completed the round).
     pub fn check_validity(&self) -> Vec<Violation> {
-        let inputs: BTreeSet<&V> = self
+        let inputs = self
             .entries
             .iter()
             .map(|e| &e.input)
-            .chain(self.extra_inputs.iter())
-            .collect();
+            .chain(self.extra_inputs.iter());
         self.entries
             .iter()
-            .filter(|e| !inputs.contains(&e.outcome.value))
+            .filter(|e| !inputs.clone().any(|input| *input == e.outcome.value))
             .map(|e| {
                 self.violation(
                     ViolationKind::Validity,
@@ -272,16 +270,14 @@ impl<V: Clone + Debug + PartialEq + Ord> RoundOutcomes<V> {
         {
             return Vec::new();
         }
-        let adopts: Vec<&RoundEntry<V>> = self
+        let mut adopts = self
             .entries
             .iter()
-            .filter(|e| e.outcome.confidence == Confidence::Adopt)
-            .collect();
-        let Some(first) = adopts.first() else {
+            .filter(|e| e.outcome.confidence == Confidence::Adopt);
+        let Some(first) = adopts.next() else {
             return Vec::new();
         };
         adopts
-            .iter()
             .filter(|e| e.outcome.value != first.outcome.value)
             .map(|e| {
                 self.violation(

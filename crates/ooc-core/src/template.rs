@@ -284,6 +284,11 @@ where
     pub fn history(&self) -> &[RoundRecord<D::Value>] {
         &self.history
     }
+
+    /// Consumes the processor, keeping only its per-round records.
+    pub fn into_history(self) -> Vec<RoundRecord<D::Value>> {
+        self.history
+    }
 }
 
 impl<A, C> AcConsensus<A, C>
